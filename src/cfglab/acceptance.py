@@ -287,11 +287,7 @@ def criterion_7_schedule_phase_diagram(quick: bool = False) -> tuple[bool, str]:
     Every separability_and_diversity cell has w0 < 0; every cell with
     w(t) >= 0 for all t (i.e. w0 >= 0) has delta_sigma2 < 0."""
     n_pts = 20 if quick else 40
-    grid = GridSpec(
-        AxisSpec("w0", -1.0, 1.0, n_pts),
-        AxisSpec("omega", 5.0 / n_pts, 5.0, n_pts),
-        {"sigma2": 0.75},
-    )
+    grid = GridSpec(AxisSpec("w0", -1.0, 1.0, n_pts), AxisSpec("omega", 5.0 / n_pts, 5.0, n_pts))
     rows = sweep_schedule_phase_diagram(0.75, grid)
     bad_beneficial = [
         r for r in rows if r.region_label == "separability_and_diversity" and r.axis1_value >= 0
@@ -498,8 +494,6 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
     if worst > 1e-5:
         return False, f"joint scores vs FD off by {worst:.2e}"
 
-    from .simulator import mixture_guided_score
-
     inst = sample_centroids(3, 4, seed=4, sigma2=0.6)
     xx = rng.standard_normal(3)
     w = 0.8
@@ -511,7 +505,7 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
         mix = float(le.max() + np.log(np.exp(le - le.max()).sum()))
         return (1.0 + w) * float(le[0]) - w * mix
 
-    sc = mixture_guided_score(xx, t, inst, w)
+    sc = make_mixture_score_fn(inst, Constant(w))(xx[None, :], t)[0]
     h = 1e-5
     worst_m = 0.0
     for j in range(3):

@@ -4,6 +4,8 @@ Subcommands: theory {mixture|joint}, simulate {mixture|joint},
 sweep {beta-w|sigma-w|schedule|joint-schedule}, validate.
 
 Global flags: --seed, --workers, --out-dir, --emit-plot, --quick, --config.
+--workers sets the number of threads over which ``simulate`` spreads its
+sample blocks; the other commands ignore it.
 Flag precedence: command line > JSON config file > built-in defaults; the
 resolved parameter set is recorded in a manifest written next to every
 output, and re-running with the same parameters reproduces the CSV outputs
@@ -405,20 +407,20 @@ def _sweep_rows_to_csv(rows: list[SweepRow], a1: str, a2: str) -> tuple[list[str
 
 def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
     if ns.kind == "beta-w":
-        grid = GridSpec(_axis_from(ns, "beta"), _axis_from(ns, "w"), {"sigma2": ns.sigma2})
-        rows = sweep_beta_w(ns.sigma2, grid, workers=ns.workers)
+        grid = GridSpec(_axis_from(ns, "beta"), _axis_from(ns, "w"))
+        rows = sweep_beta_w(ns.sigma2, grid)
         names = ("beta", "w")
     elif ns.kind == "sigma-w":
-        grid = GridSpec(_axis_from(ns, "sigma2"), _axis_from(ns, "w"), {"beta": ns.beta})
-        rows = sweep_sigma_w(ns.beta, grid, workers=ns.workers)
+        grid = GridSpec(_axis_from(ns, "sigma2"), _axis_from(ns, "w"))
+        rows = sweep_sigma_w(ns.beta, grid)
         names = ("sigma2", "w")
     elif ns.kind == "schedule":
-        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"), {"sigma2": ns.sigma2})
-        rows = sweep_schedule_phase_diagram(ns.sigma2, grid, workers=ns.workers)
+        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"))
+        rows = sweep_schedule_phase_diagram(ns.sigma2, grid)
         names = ("w0", "omega")
     else:
-        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"), {"r": ns.r, "s": ns.s})
-        rows = sweep_joint_gaussian_schedule(ns.r, ns.s, grid, workers=ns.workers)
+        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"))
+        rows = sweep_joint_gaussian_schedule(ns.r, ns.s, grid)
         names = ("w0", "omega")
     out = os.path.join(ns.out_dir, ns.out)
     header, body = _sweep_rows_to_csv(rows, *names)

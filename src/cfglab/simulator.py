@@ -30,7 +30,6 @@ __all__ = [
     "EmpiricalDistortion",
     "mode_count",
     "sample_centroids",
-    "mixture_guided_score",
     "make_mixture_score_fn",
     "integrate_backward",
     "measure_distortion",
@@ -159,59 +158,17 @@ def sample_centroids(
     return MixtureInstance(centroids=c, target_index=0, sigma2=sigma2)
 
 
-def mixture_guided_score(
-    x: np.ndarray, t: float, inst: MixtureInstance, w: float
-) -> np.ndarray:
-    """Exact guided drift (1+w) * cond_score - w * uncond_score for the mixture.
-
-    The unconditional score is the softmax-weighted pull toward the centroids;
-    log-weights are shifted by their row maximum before exponentiation.
-    Accepts a single point (d,) or a batch (n, d).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if t < 0:
-        raise DomainError("need t >= 0")
-    out = _score_kernel(
-        X,
-        t,
-        inst.centroids,
-        0.5 * np.einsum("ij,ij->i", inst.centroids, inst.centroids),
-        inst.target,
-        inst.sigma2,
-        w,
-    )
-    return out[0] if single else out
-
-
-def _score_kernel(
-    X: np.ndarray,
-    t: float,
-    C: np.ndarray,
-    half_sq: np.ndarray,
-    c1: np.ndarray,
-    sigma2: float,
-    w: float,
-) -> np.ndarray:
-    g = sigma2 + t
-    cond = (c1 - X) / g
-    if w == 0.0 or C.shape[0] == 1:
-        return cond
-    logits = (X @ C.T - half_sq) / g
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weighted_mean = (weights @ C) / weights.sum(axis=1, keepdims=True)
-    uncond = (weighted_mean - X) / g
-    return (1.0 + w) * cond - w * uncond
-
-
 def make_mixture_score_fn(
     inst: MixtureInstance,
     schedule: GuidanceSchedule,
     softmax_dtype: type = np.float64,
 ) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Score closure with the centroid norms precomputed.
+    """Guided drift (1+w) * cond_score - w * uncond_score of the mixture, w = w(t).
+
+    The returned closure maps a batch x of shape (n, d) and a time t to the
+    drift.  The unconditional score is the softmax-weighted pull toward the
+    centroids, whose norms are precomputed; the logits are shifted by their
+    row maximum before exponentiation.
 
     ``softmax_dtype=np.float32`` halves the cost of the (n_samples, M) softmax
     at exponential mode counts; the conditional part stays in float64.

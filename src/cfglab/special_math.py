@@ -6,9 +6,7 @@ Self-contained implementations (no external special-function dependency) of
 * definite incomplete Beta integrals  int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr,
   including exponents a <= 0 (only with f1 > 0) and endpoint regularisation
   by change of variable when 0 < a < 1 or 0 < b < 1,
-* improper integrals on [lo, inf) via tail-bound truncation,
-* bracketed bisection root finding,
-* overflow-safe log-sum-exp.
+* bracketed bisection root finding.
 
 All functions are pure; the module holds no mutable state.
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -26,10 +24,8 @@ __all__ = [
     "QuadratureSettings",
     "BetaArgs",
     "adaptive_quad",
-    "improper_quad",
     "incomplete_beta_definite",
     "bisection_root",
-    "log_sum_exp",
 ]
 
 
@@ -152,41 +148,6 @@ def adaptive_quad(
     return total_val
 
 
-def improper_quad(
-    integrand: Callable[[float], float],
-    lo: float,
-    settings: QuadratureSettings = QuadratureSettings(),
-    tail_bound: Callable[[float], float] | None = None,
-) -> float:
-    """Integrate ``integrand`` on [lo, inf) by truncating where the tail is small.
-
-    ``tail_bound(T)`` must bound |int_T^inf integrand|; the cut T is doubled from
-    max(1, 2*lo) until the bound drops below abs_tol.  The finite part is then
-    integrated on a log-transformed axis so wide ranges stay cheap.
-    """
-    if tail_bound is None:
-        raise DomainError("improper_quad requires an analytic tail bound")
-    t_max = max(1.0, 2.0 * abs(lo), 2.0 * lo)
-    for _ in range(200):
-        if tail_bound(t_max) < settings.abs_tol:
-            break
-        t_max *= 2.0
-    else:
-        raise ConvergenceError("tail bound never fell below abs_tol")
-    if lo >= t_max:
-        return 0.0
-    # Log substitution needs a positive start; integrate [lo, start] directly.
-    start = max(lo, 1e-8)
-    head = adaptive_quad(integrand, lo, start, settings) if start > lo else 0.0
-    body = adaptive_quad(
-        lambda y: integrand(math.exp(y)) * math.exp(y),
-        math.log(start),
-        math.log(t_max),
-        settings,
-    )
-    return head + body
-
-
 def incomplete_beta_definite(
     args: BetaArgs, settings: QuadratureSettings = QuadratureSettings()
 ) -> float:
@@ -277,16 +238,3 @@ def bisection_root(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def log_sum_exp(values: Sequence[float]) -> float:
-    """log(sum(exp(v_i))), shifted by the maximum so it never overflows.
-
-    -inf entries are allowed and ignored; an all--inf input returns -inf.
-    """
-    vals = list(values)
-    if not vals:
-        raise DomainError("log_sum_exp of an empty sequence")
-    m = max(vals)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in vals))

@@ -9,7 +9,6 @@ numerically are emitted with an error flag instead of aborting the sweep
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -72,11 +71,10 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Two swept axes plus fixed values for the remaining parameters."""
+    """The two swept axes; the remaining parameters are sweep arguments."""
 
     axis1: AxisSpec
     axis2: AxisSpec
-    fixed: dict
 
 
 @dataclass(frozen=True)
@@ -108,79 +106,48 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
     return "variance_shrink"
 
 
-def _run_grid(
-    grid: GridSpec,
-    cell: Callable[[float, float], SweepRow],
-    workers: int = 1,
-) -> list[SweepRow]:
-    """Evaluate every cell; row-major order regardless of execution order."""
-    points = [
-        (i, j, float(a), float(b))
-        for i, a in enumerate(grid.axis1.values())
-        for j, b in enumerate(grid.axis2.values())
-    ]
-
-    def safe(a: float, b: float) -> SweepRow:
-        try:
-            return cell(a, b)
-        except CfgLabError as exc:
-            return SweepRow(a, b, None, None, None, "no_distortion", error=str(exc))
-
-    if workers <= 1:
-        return [safe(a, b) for _, _, a, b in points]
-    rows: list[Optional[SweepRow]] = [None] * len(points)
-    n2 = grid.axis2.n_points
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(safe, a, b): i * n2 + j for i, j, a, b in points}
-        for fut, k in futures.items():
-            rows[k] = fut.result()
-    return rows  # type: ignore[return-value]
+def _run_grid(grid: GridSpec, cell: Callable[[float, float], SweepRow]) -> list[SweepRow]:
+    """Evaluate every cell in row-major order; a failed cell becomes an error row."""
+    rows = []
+    for a in grid.axis1.values().tolist():
+        for b in grid.axis2.values().tolist():
+            try:
+                rows.append(cell(a, b))
+            except CfgLabError as exc:
+                rows.append(SweepRow(a, b, None, None, None, "no_distortion", error=str(exc)))
+    return rows
 
 
-def sweep_beta_w(sigma2: float, grid: GridSpec, workers: int = 1) -> list[SweepRow]:
+def _constant_guidance_row(axis1: float, w: float, sigma2: float, beta: float) -> SweepRow:
+    """Switch time and t=0 distortion at (sigma2, beta, w); axis1 is the swept one."""
+    _, rep = assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(w)), [0.0])
+    return SweepRow(
+        axis1,
+        w,
+        rep.t_speciation,
+        rep.delta_mu,
+        rep.delta_sigma2,
+        classify_region(rep.delta_mu, rep.delta_sigma2),
+    )
+
+
+def sweep_beta_w(sigma2: float, grid: GridSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
-
-    def cell(beta: float, w: float) -> SweepRow:
-        params = MixtureTheoryParams(sigma2, beta, Constant(w))
-        _, rep = assemble_trajectory(params, [0.0])
-        return SweepRow(
-            beta,
-            w,
-            rep.t_speciation,
-            rep.delta_mu,
-            rep.delta_sigma2,
-            classify_region(rep.delta_mu, rep.delta_sigma2),
-        )
-
-    return _run_grid(grid, cell, workers)
+    return _run_grid(grid, lambda beta, w: _constant_guidance_row(beta, w, sigma2, beta))
 
 
-def sweep_sigma_w(beta: float, grid: GridSpec, workers: int = 1) -> list[SweepRow]:
+def sweep_sigma_w(beta: float, grid: GridSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (sigma2, w) at fixed beta."""
     if beta < 0:
         raise DomainError("beta must be >= 0")
-
-    def cell(sigma2: float, w: float) -> SweepRow:
-        params = MixtureTheoryParams(sigma2, beta, Constant(w))
-        _, rep = assemble_trajectory(params, [0.0])
-        return SweepRow(
-            sigma2,
-            w,
-            rep.t_speciation,
-            rep.delta_mu,
-            rep.delta_sigma2,
-            classify_region(rep.delta_mu, rep.delta_sigma2),
-        )
-
-    return _run_grid(grid, cell, workers)
+    return _run_grid(grid, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
 
 
 def sweep_schedule_phase_diagram(
     sigma2: float,
     grid: GridSpec,
-    workers: int = 1,
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> list[SweepRow]:
     """t=0 distortion over (w0, omega) for the ramped schedule, guided-only path.
@@ -197,14 +164,13 @@ def sweep_schedule_phase_diagram(
         dm, dv = delta_estimators_linear(0.0, sigma2, Linear(w0, omega), settings)
         return SweepRow(w0, omega, None, dm, dv, classify_region(dm, dv))
 
-    return _run_grid(grid, cell, workers)
+    return _run_grid(grid, cell)
 
 
 def sweep_joint_gaussian_schedule(
     r: float,
     s: float,
     grid: GridSpec,
-    workers: int = 1,
     settings: QuadratureSettings = QuadratureSettings(),
 ) -> list[SweepRow]:
     """lambda(0) and Lambda(0) over (w0, omega) for one eigenvalue pair.
@@ -222,4 +188,4 @@ def sweep_joint_gaussian_schedule(
         big = Lambda_coeff_linear(s, r, sched, 0.0, settings)
         return SweepRow(w0, omega, None, lam - 1.0, big - 1.0, classify_region(lam - 1.0, big - 1.0))
 
-    return _run_grid(grid, cell, workers)
+    return _run_grid(grid, cell)

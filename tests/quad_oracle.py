@@ -1,0 +1,50 @@
+"""Test-side oracle: improper integrals on [lo, inf) by tail-bound truncation.
+
+The library never integrates to infinity; the closed forms for ramped
+schedules are finite incomplete Beta integrals.  This helper integrates the
+defining time-domain integrals directly, so ``test_joint_gaussian`` can check
+those closed forms against an independent path.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from cfglab.errors import ConvergenceError, DomainError
+from cfglab.special_math import QuadratureSettings, adaptive_quad
+
+
+def improper_quad(
+    integrand: Callable[[float], float],
+    lo: float,
+    settings: QuadratureSettings = QuadratureSettings(),
+    tail_bound: Callable[[float], float] | None = None,
+) -> float:
+    """Integrate ``integrand`` on [lo, inf) by truncating where the tail is small.
+
+    ``tail_bound(T)`` must bound |int_T^inf integrand|; the cut T is doubled from
+    max(1, 2*lo) until the bound drops below abs_tol.  The finite part is then
+    integrated on a log-transformed axis so wide ranges stay cheap.
+    """
+    if tail_bound is None:
+        raise DomainError("improper_quad requires an analytic tail bound")
+    t_max = max(1.0, 2.0 * abs(lo), 2.0 * lo)
+    for _ in range(200):
+        if tail_bound(t_max) < settings.abs_tol:
+            break
+        t_max *= 2.0
+    else:
+        raise ConvergenceError("tail bound never fell below abs_tol")
+    if lo >= t_max:
+        return 0.0
+    # Log substitution needs a positive start; integrate [lo, start] directly.
+    start = max(lo, 1e-8)
+    head = adaptive_quad(integrand, lo, start, settings) if start > lo else 0.0
+    body = adaptive_quad(
+        lambda y: integrand(math.exp(y)) * math.exp(y),
+        math.log(start),
+        math.log(t_max),
+        settings,
+    )
+    return head + body

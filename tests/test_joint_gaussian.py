@@ -19,7 +19,8 @@ from cfglab.joint_gaussian import (
     random_model,
 )
 from cfglab.schedule import Constant, Linear
-from cfglab.special_math import QuadratureSettings, improper_quad
+from cfglab.special_math import QuadratureSettings
+from quad_oracle import improper_quad
 
 
 class TestConstantCoefficients:

