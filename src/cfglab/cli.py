@@ -5,7 +5,8 @@ sweep {beta-w|sigma-w|schedule|joint-schedule}, validate.
 
 Global flags: --seed, --workers, --out-dir, --emit-plot, --quick, --config.
 --workers sets the number of threads over which ``simulate`` spreads its
-sample blocks; the other commands ignore it.
+sample blocks, the only parallel axis (BLAS runs on one thread inside it);
+the other commands ignore it.
 Flag precedence: command line > JSON config file > built-in defaults; the
 resolved parameter set is recorded in a manifest written next to every
 output, and re-running with the same parameters reproduces the CSV outputs

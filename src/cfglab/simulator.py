@@ -8,16 +8,20 @@ with bootstrap standard errors.
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (master seed, purpose tag, step, block).  Samples are
 processed in fixed-size blocks whose computation never depends on how blocks
-are distributed over workers, so outputs are bit-identical for a given
-``SimConfig`` under any worker count.
+are distributed over workers, and BLAS runs single-threaded inside each, so
+outputs are bit-identical for a given ``SimConfig`` under any worker count
+and any BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +42,10 @@ __all__ = [
 # Fixed processing block: part of the output contract (noise is keyed per
 # block), deliberately independent of the worker count.
 _BLOCK = 1024
+
+# Rows per score tile: a float32 logit tile at M = e^10 modes is 11 MB, where
+# a whole block's would be 90 MB.
+_TILE = 128
 
 # Purpose tags for Philox key derivation.
 _TAG_INIT = 1
@@ -166,33 +174,50 @@ def make_mixture_score_fn(
     """Guided drift (1+w) * cond_score - w * uncond_score of the mixture, w = w(t).
 
     The returned closure maps a batch x of shape (n, d) and a time t to the
-    drift.  The unconditional score is the softmax-weighted pull toward the
-    centroids, whose norms are precomputed; the logits are shifted by their
-    row maximum before exponentiation.
+    drift; any other shape raises DomainError.  The unconditional score is
+    the softmax-weighted pull toward the centroids, i.e. attention with the
+    samples as queries and the centroids as keys and values.  It runs as one
+    fused kernel over 128-row tiles: the augmented query [x/g, 1/g] times the
+    keys [C^T; -|c|^2/2] gives the logits (x.c - |c|^2/2)/g in one GEMM, and
+    the exponentiated, max-shifted tile times the values [C, 1] gives the
+    weighted sum and, in its last column, the normaliser in a second GEMM.
 
     ``softmax_dtype=np.float32`` halves the cost of the (n_samples, M) softmax
     at exponential mode counts; the conditional part stays in float64.
     """
-    C = np.ascontiguousarray(inst.centroids, dtype=softmax_dtype)
-    Ct = np.ascontiguousarray(C.T)
-    half_sq = 0.5 * np.einsum("ij,ij->i", C, C)
-    c1 = inst.centroids[inst.target_index]
+    C = inst.centroids
+    M, d = C.shape
+    keys = np.empty((d + 1, M), dtype=softmax_dtype)
+    keys[:d] = C.T
+    keys[d] = -0.5 * np.einsum("ij,ij->i", C, C)
+    values = np.empty((M, d + 1), dtype=softmax_dtype)
+    values[:, :d] = C
+    values[:, d] = 1.0
+    c1 = C[inst.target_index]
     sigma2 = inst.sigma2
-    many = inst.n_modes > 1
 
     def score(x: np.ndarray, t: float) -> np.ndarray:
+        if np.ndim(x) != 2 or np.shape(x)[1] != d:
+            raise DomainError(f"score expects an (n, {d}) batch, got shape {np.shape(x)}")
         w = guidance_level(schedule, t)
         g = sigma2 + t
         cond = (c1 - x) / g
-        if w == 0.0 or not many:
+        if w == 0.0 or M == 1:
             return cond
-        Xs = x.astype(softmax_dtype, copy=False)
-        logits = Xs @ Ct
-        logits -= half_sq
-        logits /= softmax_dtype(g)
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        weighted_mean = (logits @ C) / logits.sum(axis=1, keepdims=True)
+        n = len(x)
+        queries = np.empty((n, d + 1), dtype=softmax_dtype)
+        queries[:, :d] = x / g
+        queries[:, d] = 1.0 / g
+        acc = np.empty((n, d + 1), dtype=softmax_dtype)
+        logits = np.empty((min(n, _TILE), M), dtype=softmax_dtype)
+        for lo in range(0, n, _TILE):
+            q = queries[lo:lo + _TILE]
+            tile = logits[:len(q)]
+            np.matmul(q, keys, out=tile)
+            tile -= tile.max(axis=1, keepdims=True)
+            np.exp(tile, out=tile)
+            np.matmul(tile, values, out=acc[lo:lo + _TILE])
+        weighted_mean = acc[:, :d] / acc[:, d:]
         uncond = (weighted_mean.astype(float) - x) / g
         return (1.0 + w) * cond - w * uncond
 
@@ -219,6 +244,54 @@ def time_grid(config: SimConfig, grid_offset: float = 0.0) -> np.ndarray:
     return merged[::-1].copy()
 
 
+# (get, set) symbol pairs of the OpenBLAS builds numpy ships or links against.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or None.
+
+    Looked up on first use through numpy's multiarray extension, whose symbol
+    lookup also searches the libraries it links against.
+    """
+    core = getattr(np, "_core", None) or np.core  # numpy 2 / numpy 1
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextmanager
+def _blas_on_one_thread() -> Iterator[None]:
+    """Run OpenBLAS on the calling thread only, restoring its count on exit."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def integrate_backward(
     config: SimConfig,
     score_fn: Callable[[np.ndarray, float], np.ndarray],
@@ -229,6 +302,9 @@ def integrate_backward(
     """Integrate n_samples backward trajectories; returns {checkpoint: (n, d)}.
 
     Initial condition x_T ~ N(init_mean, T * I) (zero mean by default).
+    The blocks are the only parallel axis: ``workers`` threads share them,
+    and OpenBLAS runs on one thread inside each for the whole call, so the
+    output does not depend on the BLAS thread count either.
     Raises NumericalError naming the step and sample where a state first
     leaves float range.
     """
@@ -261,13 +337,14 @@ def integrate_backward(
             if t_next in wanted:
                 out[t_next][lo:hi] = x
 
-    if workers <= 1 or n_blocks == 1:
-        for b in range(n_blocks):
-            run_block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(run_block, b) for b in range(n_blocks)]:
-                fut.result()
+    with _blas_on_one_thread():
+        if workers <= 1 or n_blocks == 1:
+            for b in range(n_blocks):
+                run_block(b)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for fut in [pool.submit(run_block, b) for b in range(n_blocks)]:
+                    fut.result()
     return out
 
 

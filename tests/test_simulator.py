@@ -9,6 +9,7 @@ from cfglab.errors import BudgetError, DomainError, NumericalError
 from cfglab.schedule import Constant
 from cfglab.simulator import (
     SimConfig,
+    _openblas_threads,
     integrate_backward,
     make_mixture_score_fn,
     measure_distortion,
@@ -49,6 +50,31 @@ class TestSampleCentroids:
 
 # Both softmax dtypes the simulator ships; the conditional part is float64 in each.
 SOFTMAX_DTYPES = (np.float64, np.float32)
+
+
+def _row_by_row_drift(inst, w, X, t):
+    """Guided drift from the float64 softmax of -|x - c|^2 / (2g), one row at a time."""
+    g = inst.sigma2 + t
+    out = np.empty_like(X)
+    for i, x in enumerate(X):
+        le = -((x - inst.centroids) ** 2).sum(axis=1) / (2.0 * g)
+        p = np.exp(le - le.max())
+        mean = p @ inst.centroids / p.sum()
+        out[i] = ((1.0 + w) * (inst.target - x) - w * (mean - x)) / g
+    return out
+
+
+def _unfused_float32_drift(inst, w, X, t):
+    """The untiled float32 kernel the fused one replaced: shift, scale, exp, row-sum."""
+    g = inst.sigma2 + t
+    C = inst.centroids.astype(np.float32)
+    logits = X.astype(np.float32) @ C.T
+    logits -= 0.5 * np.einsum("ij,ij->i", C, C)
+    logits /= np.float32(g)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    mean = (logits @ C) / logits.sum(axis=1, keepdims=True)
+    return ((1.0 + w) * (inst.target - X) - w * (mean.astype(float) - X)) / g
 
 
 class TestMixtureScore:
@@ -99,6 +125,34 @@ class TestMixtureScore:
         for dtype in SOFTMAX_DTYPES:
             S = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)(X, t)
             assert np.all(np.linalg.norm(S, axis=1) <= bound + 1e-12), dtype
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+    def test_tiles_match_row_by_row_softmax(self, rows):
+        # Row counts around the 128-row tile: a short last tile must not
+        # reuse stale logits or write outside its rows.
+        d, M, w, t = 8, 600, 1.3, 0.4
+        inst = sample_centroids(d, M, seed=21, sigma2=0.5)
+        rng = np.random.default_rng(rows)
+        X = inst.centroids[rng.integers(0, M, rows)] + rng.standard_normal((rows, d))
+        ref = _row_by_row_drift(inst, w, X, t)
+        f64 = make_mixture_score_fn(inst, Constant(w))(X, t)
+        np.testing.assert_allclose(f64, ref, rtol=0.0, atol=1e-12)
+        # float32: within 8x the untiled kernel's own error.  The fused kernel
+        # sums the normaliser inside the float32 GEMM instead of with numpy's
+        # pairwise row sum, which at M = 600 costs a factor of 1-5.
+        f32 = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)(X, t)
+        unfused_err = np.abs(_unfused_float32_drift(inst, w, X, t) - ref).max()
+        assert np.abs(f32 - ref).max() <= 8.0 * unfused_err
+
+    def test_rejects_anything_but_an_n_by_d_batch(self):
+        # Every branch: zero guidance, a single mode, and the softmax.
+        for M, w in ((4, 0.0), (1, 1.0), (4, 1.0)):
+            inst = sample_centroids(3, M, seed=2, sigma2=0.5)
+            for dtype in SOFTMAX_DTYPES:
+                fn = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)
+                for x in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+                    with pytest.raises(DomainError):
+                        fn(x, 0.5)
 
     def test_float32_path_close_to_float64(self):
         inst = sample_centroids(6, 200, seed=9, sigma2=0.5)
@@ -167,6 +221,28 @@ class TestIntegrateBackward:
         c = integrate_backward(cfg, fn, grid_offset=0.5, workers=1)[0.0]
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+    def test_independent_of_blas_thread_count(self):
+        controls = _openblas_threads()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread-count setter found")
+        get_threads, set_threads = controls
+        d, M = 20, 3000
+        inst = sample_centroids(d, M, seed=5, sigma2=0.5)
+        cfg = SimConfig(dim=d, n_samples=1024, seed=5, schedule=Constant(1.0),
+                        horizon_T=50.0, n_steps=10)
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=np.float32)
+        original = get_threads()
+        runs = []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                before = get_threads()
+                runs.append(integrate_backward(cfg, fn, grid_offset=0.5)[0.0])
+                assert get_threads() == before
+        finally:
+            set_threads(original)
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_nonfinite_state_reported(self):
         cfg = SimConfig(dim=2, n_samples=8, seed=0, schedule=Constant(0.0),
