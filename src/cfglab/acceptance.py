@@ -11,6 +11,8 @@ sqrt(n_full/n_quick) = 2); bootstrap-based tolerances adapt automatically.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
 import time
@@ -78,6 +80,7 @@ def _joint_sim_moments(model, w: float, n: int, seed: int, n_steps: int):
         lambda x, t: guided_score_batch(model, Constant(w), x, t),
         grid_offset=float(np.min(model.s)),
         init_mean=model.mu,
+        workers=os.cpu_count() or 1,
     )[0.0]
     return samples
 
@@ -215,7 +218,8 @@ def criterion_4_joint_vs_sim(quick: bool = False) -> tuple[bool, str]:
 
     d2 = 9 random model, w in {0, 1, 2}, n = 2e4: mean within 3 SE per
     coordinate, per-eigendirection variance within 5%, |mean_w|/|mu| strictly
-    increasing in w and the Frobenius-norm ratio strictly decreasing.
+    increasing in w and the Frobenius-norm ratio strictly decreasing.  The
+    simulations spread their sample blocks over every core.
     """
     n = 5000 if quick else 20000
     var_tol = 0.10 if quick else 0.05
@@ -522,26 +526,34 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
 
 
 def criterion_9_determinism(quick: bool = False) -> tuple[bool, str]:
-    """cmd_simulate produces byte-identical CSV across runs and worker counts."""
+    """``simulate mixture`` and ``simulate joint`` each write byte-identical
+    CSVs across runs and worker counts; the CLI's stdout is kept out of
+    ``validate``'s."""
     import tempfile
     from .cli import main as cli_main
 
-    digests = []
+    commands = {
+        "mixture": ["--d", "6", "--beta", "0.4", "--sigma2", "0.5", "--w", "0.7"],
+        "joint": ["--d2", "9", "--w", "2"],
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        for k, workers in enumerate((1, 1, 4)):
-            sub = f"{tmp}/run{k}"
-            rc = cli_main([
-                "--seed", "7", "--workers", str(workers), "--out-dir", sub,
-                "simulate", "mixture", "--d", "6", "--beta", "0.4",
-                "--sigma2", "0.5", "--w", "0.7", "--n", "3000", "--steps", "60",
-                "--out", "sim.csv",
-            ])
-            if rc != 0:
-                return False, f"cmd_simulate exited {rc}"
-            with open(f"{sub}/sim.csv", "rb") as fh:
-                digests.append(fh.read())
-    ok = digests[0] == digests[1] == digests[2]
-    return ok, "byte-identical across repeats and worker counts {1, 4}" if ok else "outputs differ"
+        for target, args in commands.items():
+            digests = []
+            for k, workers in enumerate((1, 1, 4)):
+                sub = f"{tmp}/{target}{k}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    rc = cli_main([
+                        "--seed", "7", "--workers", str(workers), "--out-dir", sub,
+                        "simulate", target, *args, "--n", "3000", "--steps", "60",
+                        "--out", "sim.csv",
+                    ])
+                if rc != 0:
+                    return False, f"simulate {target} exited {rc}"
+                with open(f"{sub}/sim.csv", "rb") as fh:
+                    digests.append(fh.read())
+            if not digests[0] == digests[1] == digests[2]:
+                return False, f"simulate {target} outputs differ"
+    return True, "mixture and joint byte-identical across repeats and worker counts {1, 4}"
 
 
 _CRITERIA: list[tuple[int, str, float, Callable[[bool], tuple[bool, str]]]] = [

@@ -14,6 +14,11 @@ For a constant guidance level w the guided marginal at time t is Gaussian with
 with lambda_i >= 1 and Lambda_i <= 1 whenever w >= 0: guidance expands the
 mean and contracts the covariance.  For a linear schedule w(t) = w0 + omega*t
 the coefficients are definite incomplete Beta integrals evaluated numerically.
+
+The guided SDE drift (1+w) * cond - w * uncond is affine in x at each time,
+x @ A(t) + b(t) with A(t) and b(t) assembled from the same basis
+(``guided_score_batch``); ``exact_scores`` keeps the eigenbasis form as the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .schedule import Constant, GuidanceSchedule, Linear
+from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .special_math import BetaArgs, QuadratureSettings, incomplete_beta_definite
 
 __all__ = [
@@ -234,15 +239,23 @@ def exact_scores(
 def guided_score_batch(
     model: JointGaussianModel, sched: GuidanceSchedule, x: np.ndarray, t: float
 ) -> np.ndarray:
-    """Guided drift (1+w(t)) * cond - w(t) * uncond for a batch of rows."""
-    from .schedule import guidance_level
+    """Guided drift (1+w(t)) * cond - w(t) * uncond for a batch of rows.
 
+    The drift is affine in x, so each call forms, with w = w(t),
+
+        A = V diag(w/(r+t) - (1+w)/(s+t)) V^T,
+        b = V ((1+w) (V^T mu) / (s+t)),
+
+    and returns the rows x @ A + b (A is symmetric): one GEMM against a
+    (d, d) matrix per call instead of a round trip through the eigenbasis.
+    """
     w = guidance_level(sched, t)
-    y = x @ model.basis  # rows in eigenbasis coordinates
-    m = model.basis.T @ model.mu
-    cond = -(y - m) / (model.s + t)
-    uncond = -y / (model.r + t)
-    return ((1.0 + w) * cond - w * uncond) @ model.basis.T
+    basis = model.basis
+    a = (basis * (w / (model.r + t) - (1.0 + w) / (model.s + t))) @ basis.T
+    b = basis @ ((1.0 + w) * (basis.T @ model.mu) / (model.s + t))
+    drift = x @ a
+    drift += b
+    return drift
 
 
 def random_model(dim: int, seed: int) -> JointGaussianModel:

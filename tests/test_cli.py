@@ -125,6 +125,13 @@ class TestSimulateCommand:
         for row in rows:
             assert float(row[5]) == pytest.approx(float(row[4]), rel=0.2)
 
+    def test_joint_byte_identical_across_workers(self, tmp_path):
+        argv = ["--seed", "4", "simulate", "joint", "--d2", "5", "--w", "1.5",
+                "--n", "2500", "--steps", "60", "--out", "j.csv"]
+        for workers in ("1", "2"):
+            assert main(["--workers", workers, "--out-dir", str(tmp_path / workers)] + argv) == 0
+        assert _read(tmp_path / "1" / "j.csv") == _read(tmp_path / "2" / "j.csv")
+
 
 class TestSweepCommand:
     def test_minimal_grid_shape(self, tmp_path):

@@ -18,7 +18,7 @@ from cfglab.joint_gaussian import (
     lambda_coeff_linear,
     random_model,
 )
-from cfglab.schedule import Constant, Linear
+from cfglab.schedule import Constant, Linear, guidance_level
 from cfglab.special_math import QuadratureSettings
 from quad_oracle import improper_quad
 
@@ -235,3 +235,23 @@ class TestExactScores:
         for i in range(7):
             cond, uncond = exact_scores(model, X[i], t)
             np.testing.assert_allclose(batch[i], (1 + w) * cond - w * uncond, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 50.0])
+    @pytest.mark.parametrize(
+        "sched",
+        [Constant(0.0), Constant(1.3), Linear(-0.4, 0.5)],
+        ids=["constant0", "constant1.3", "linear-0.4+0.5t"],
+    )
+    def test_affine_drift_matches_scores_row_by_row(self, sched, t):
+        # Linear(-0.4, 0.5) guides negatively on t < 0.8, inside the paper's
+        # negative-guidance window; at w = 0 the drift is the conditional score.
+        model = random_model(9, seed=0)
+        rng = np.random.default_rng(4)
+        X = model.mu + 2.0 * rng.standard_normal((33, 9))
+        w = guidance_level(sched, t)
+        batch = guided_score_batch(model, sched, X, t)
+        assert batch.shape == X.shape
+        for i in range(len(X)):
+            cond, uncond = exact_scores(model, X[i], t)
+            expected = cond if w == 0.0 else (1 + w) * cond - w * uncond
+            np.testing.assert_allclose(batch[i], expected, rtol=0, atol=1e-12)
