@@ -31,13 +31,11 @@ from .joint_gaussian import (
     random_model,
 )
 from .mixture_theory import (
-    CONDITIONAL,
     DistortionReport,
-    GuidedMoments,
     MixtureTheoryParams,
+    _report,
     _switch_root,
     assemble_trajectory,
-    conditional_phase_moments,
     delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
@@ -270,7 +268,7 @@ def criterion_6_sanity_schedule(quick: bool = False) -> tuple[bool, str]:
 
     delta_mu(0) = sigma2 and delta_sigma2(0) = (1 - 2*sigma2)/3 to 1e-6 for
     sigma2 in {0.1, 0.25, 0.4, 0.5}; closed-form switch time 0.331977 +- 1e-6
-    at (beta=1, sigma2=0.25) and absent at beta = 0.5."""
+    at (beta=1, sigma2=0.25) and math.inf (always conditional) at beta = 0.5."""
     worst = 0.0
     for sigma2 in (0.1, 0.25, 0.4, 0.5):
         dm, dv = delta_estimators_linear(0.0, sigma2, Linear(sigma2 - 1.0, 1.0))
@@ -283,8 +281,8 @@ def criterion_6_sanity_schedule(quick: bool = False) -> tuple[bool, str]:
         return False, f"closed-form switch time {t_s} != {expected:.9f}"
     if abs(t_s - 0.331977) > 1.1e-6:
         return False, f"closed-form switch time {t_s:.9f} != 0.331977"
-    if sanity_schedule_speciation(0.25, 0.5) is not None:
-        return False, "expected no switch at beta = 0.5"
+    if sanity_schedule_speciation(0.25, 0.5) != math.inf:
+        return False, "expected math.inf (always conditional) at beta = 0.5"
     return True, f"max benchmark error {worst:.2e}, t_s = {t_s:.6f}"
 
 
@@ -375,28 +373,13 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
     the distortion vanishes.
     """
 
-    def guided(t: float) -> GuidedMoments:
-        return guided_phase_moments(t, math.inf, sigma2, w)
-
     def switch(t: float) -> float:
-        m = guided(t)
+        m = guided_phase_moments(t, math.inf, sigma2, w)
         q1 = (m.mean_coeff - 1.0) ** 2 + m.variance
         q2 = m.mean_coeff**2 + m.variance
         return beta + zeta(t, 1.0, sigma2, q1, q2)
 
-    t_s = _switch_root(switch)
-    if t_s is None:
-        zero = guided(0.0)
-    elif math.isinf(t_s):
-        zero = GuidedMoments(t=0.0, mean_coeff=1.0, variance=sigma2, phase=CONDITIONAL)
-    else:
-        zero = conditional_phase_moments(0.0, t_s, sigma2, guided(t_s))
-    return DistortionReport(
-        delta_mu=zero.mean_coeff - 1.0,
-        delta_sigma2=(zero.variance - sigma2) / sigma2,
-        t_speciation=t_s,
-        phase_at_zero=zero.phase,
-    )
+    return _report(_switch_root(switch), sigma2, w)
 
 
 def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:

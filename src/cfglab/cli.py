@@ -45,7 +45,6 @@ from .mixture_theory import (
     delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
-    speciation_time,
 )
 from .schedule import Constant, GuidanceSchedule, Linear
 from .simulator import (
@@ -294,10 +293,9 @@ def _theory_rows_mixture(ns: argparse.Namespace) -> list[list[object]]:
     rows: list[list[object]] = []
     if isinstance(sched, Constant):
         params = MixtureTheoryParams(ns.sigma2, ns.beta, sched)
-        moments, _ = assemble_trajectory(params, times)
-        t_s = speciation_time(params)
+        moments, report = assemble_trajectory(params, times)
         for m in moments:
-            dm, dv = delta_estimators_constant(m.t, ns.sigma2, sched.w, t_s)
+            dm, dv = delta_estimators_constant(m.t, ns.sigma2, sched.w, report.t_speciation)
             rows.append([m.t, m.mean_coeff, m.variance, dm, dv, m.phase])
     else:
         for t in times:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
-from .special_math import BetaArgs, QuadratureSettings, incomplete_beta_definite
+from .special_math import BetaArgs, incomplete_beta_definite
 
 __all__ = [
     "JointGaussianModel",
@@ -119,13 +119,7 @@ def Lambda_coeff(s: float, r: float, w: float, t: float) -> float:
     return (r + t) * math.expm1((2.0 * w + 1.0) * math.log1p(z)) / ((2.0 * w + 1.0) * (s - r))
 
 
-def lambda_coeff_linear(
-    s: float,
-    r: float,
-    sched: Linear,
-    t: float,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> float:
+def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     """Mean amplification factor under w(t) = w0 + omega*t, horizon -> inf.
 
     Written as incomplete Beta integrals over u = (s+t')/(r+t'); the two-term
@@ -145,8 +139,8 @@ def lambda_coeff_linear(
     p = omega * (r - s)
     a1 = omega * s - w0 - 1.0
     c1 = 1.0 + w0 - omega * s
-    term1 = incomplete_beta_definite(BetaArgs(a1, p + 1.0, f_t, 1.0), settings)
-    term2 = incomplete_beta_definite(BetaArgs(a1 + 1.0, p, f_t, 1.0), settings)
+    term1 = incomplete_beta_definite(BetaArgs(a1, p + 1.0, f_t, 1.0))
+    term2 = incomplete_beta_definite(BetaArgs(a1 + 1.0, p, f_t, 1.0))
     pref = (
         (s + t) ** (1.0 + w0 - omega * s)
         * (r + t) ** (omega * r - w0)
@@ -155,13 +149,7 @@ def lambda_coeff_linear(
     return pref * (c1 * term1 + p * term2)
 
 
-def Lambda_coeff_linear(
-    s: float,
-    r: float,
-    sched: Linear,
-    t: float,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> float:
+def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     """Variance factor under w(t) = w0 + omega*t, horizon -> inf.
 
     The per-direction guided variance is Lambda_i(t) * (s_i + t).
@@ -175,7 +163,7 @@ def Lambda_coeff_linear(
     f_t = (s + t) / (r + t)
     p = omega * (r - s)
     a = 2.0 * (omega * s - w0) - 1.0
-    integral = incomplete_beta_definite(BetaArgs(a, 2.0 * p + 1.0, f_t, 1.0), settings)
+    integral = incomplete_beta_definite(BetaArgs(a, 2.0 * p + 1.0, f_t, 1.0))
     pref = (
         (s + t) ** (1.0 + 2.0 * (w0 - omega * s))
         * (r + t) ** (2.0 * omega * r - 2.0 * w0)
@@ -185,10 +173,7 @@ def Lambda_coeff_linear(
 
 
 def guided_moments(
-    model: JointGaussianModel,
-    sched: GuidanceSchedule,
-    t: float,
-    settings: QuadratureSettings = QuadratureSettings(),
+    model: JointGaussianModel, sched: GuidanceSchedule, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Guided mean vector and covariance eigenvalues (in the model basis) at t.
 
@@ -199,12 +184,8 @@ def guided_moments(
         lam = np.array([lambda_coeff(si, ri, sched.w, t) for si, ri in zip(model.s, model.r)])
         big = np.array([Lambda_coeff(si, ri, sched.w, t) for si, ri in zip(model.s, model.r)])
     else:
-        lam = np.array(
-            [lambda_coeff_linear(si, ri, sched, t, settings) for si, ri in zip(model.s, model.r)]
-        )
-        big = np.array(
-            [Lambda_coeff_linear(si, ri, sched, t, settings) for si, ri in zip(model.s, model.r)]
-        )
+        lam = np.array([lambda_coeff_linear(si, ri, sched, t) for si, ri in zip(model.s, model.r)])
+        big = np.array([Lambda_coeff_linear(si, ri, sched, t) for si, ri in zip(model.s, model.r)])
     m = model.basis.T @ model.mu
     mean = model.basis @ (lam * m)
     cov_eigenvalues = big * (model.s + t)

@@ -50,7 +50,7 @@ import numpy as np
 from .errors import DomainError
 from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from .schedule import Constant, GuidanceSchedule, Linear
-from .special_math import QuadratureSettings, bisection_root
+from .special_math import bisection_root
 
 __all__ = [
     "GUIDED",
@@ -63,7 +63,6 @@ __all__ = [
     "zeta_typical",
     "typical_overlaps",
     "speciation_time",
-    "condensation_lambda",
     "guided_phase_moments",
     "conditional_phase_moments",
     "assemble_trajectory",
@@ -71,13 +70,12 @@ __all__ = [
     "guided_moments_linear_schedule",
     "delta_estimators_linear",
     "sanity_schedule_speciation",
-    "potential_minimum_and_width",
 ]
 
 GUIDED = "guided"
 CONDITIONAL = "conditional"
 
-# Root scans bracket sign changes on a log grid before bisecting.
+# The switch-time scan brackets a sign change on a log grid before bisecting.
 _SCAN_LO = 1e-6
 _SCAN_HI = 1e8
 _SCAN_POINTS = 400
@@ -221,47 +219,6 @@ def _switch_root(f: Callable[[float], float]) -> Optional[float]:
     return None
 
 
-def condensation_lambda(
-    t: float, sigma2: float, beta: float, q2: float
-) -> Optional[float]:
-    """Tilt threshold above which a single mode would dominate the overlap sum.
-
-    Root of beta - log(1+lam/g)/2 + lam/(2(g+lam)) * (1 - lam*q2/(g+lam));
-    diagnostic only: trajectories with i.i.d. centroids must keep the root
-    above 1 whenever the guided branch is active (the single-mode-dominated
-    regime is never entered).  Returns None when no bracket exists on
-    (1e-6, 1e8), 0.0 for beta = 0 (the condition vanishes at lam = 0).
-    """
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
-    if beta == 0.0:
-        return 0.0
-    g = sigma2 + t
-
-    def f(lam: float) -> float:
-        return (
-            beta
-            - 0.5 * math.log1p(lam / g)
-            + lam / (2.0 * (g + lam)) * (1.0 - lam * q2 / (g + lam))
-        )
-
-    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    prev_t, prev_v = grid[0], f(grid[0])
-    if prev_v <= 0.0:
-        return float(prev_t) if prev_v == 0.0 else None
-    for lam in grid[1:]:
-        v = f(lam)
-        if v <= 0.0:
-            if v == 0.0:
-                return float(lam)
-            x = bisection_root(
-                lambda y: f(math.exp(y)), math.log(prev_t), math.log(lam), 1e-13
-            )
-            return math.exp(x)
-        prev_t, prev_v = lam, v
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Piecewise closed-form moments (constant guidance)
 # ---------------------------------------------------------------------------
@@ -353,6 +310,29 @@ def conditional_phase_moments(
     )
 
 
+def _moments_at(t: float, t_s: Optional[float], sigma2: float, w: float) -> GuidedMoments:
+    """Piecewise moments at time t for switch time t_s (``DistortionReport``'s
+    sentinels): guided at and above t_s or throughout when t_s is None, the
+    exact conditional marginal when t_s is math.inf, otherwise conditional
+    seeded by the guided moments at t_s."""
+    if t_s is None or t >= t_s:
+        return guided_phase_moments(t, math.inf, sigma2, w)
+    if math.isinf(t_s):
+        return GuidedMoments(t=t, mean_coeff=1.0, variance=sigma2 + t, phase=CONDITIONAL)
+    return conditional_phase_moments(t, t_s, sigma2, guided_phase_moments(t_s, math.inf, sigma2, w))
+
+
+def _report(t_s: Optional[float], sigma2: float, w: float) -> DistortionReport:
+    """Distortion at t = 0 of the piecewise trajectory switching at t_s."""
+    zero = _moments_at(0.0, t_s, sigma2, w)
+    return DistortionReport(
+        delta_mu=zero.mean_coeff - 1.0,
+        delta_sigma2=(zero.variance - sigma2) / sigma2,
+        t_speciation=t_s,
+        phase_at_zero=zero.phase,
+    )
+
+
 def assemble_trajectory(
     params: MixtureTheoryParams, t_grid: list[float]
 ) -> tuple[list[GuidedMoments], DistortionReport]:
@@ -365,29 +345,9 @@ def assemble_trajectory(
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be sorted ascending")
     w = params.schedule.w
-    sigma2 = params.sigma2
     t_s = speciation_time(params)
-    seed = None
-    if t_s is not None and math.isfinite(t_s):
-        seed = guided_phase_moments(t_s, math.inf, sigma2, w)
-
-    def at(t: float) -> GuidedMoments:
-        if t_s is None or (math.isfinite(t_s) and t >= t_s):
-            return guided_phase_moments(t, math.inf, sigma2, w)
-        if math.isinf(t_s):
-            # Conditional from the start: the exact marginal at every time.
-            return GuidedMoments(t=t, mean_coeff=1.0, variance=sigma2 + t, phase=CONDITIONAL)
-        return conditional_phase_moments(t, t_s, sigma2, seed)
-
-    trajectory = [at(t) for t in t_grid]
-    zero = at(0.0)
-    report = DistortionReport(
-        delta_mu=zero.mean_coeff - 1.0,
-        delta_sigma2=(zero.variance - sigma2) / sigma2,
-        t_speciation=t_s,
-        phase_at_zero=zero.phase,
-    )
-    return trajectory, report
+    trajectory = [_moments_at(t, t_s, params.sigma2, w) for t in t_grid]
+    return trajectory, _report(t_s, params.sigma2, w)
 
 
 def delta_estimators_constant(
@@ -399,13 +359,7 @@ def delta_estimators_constant(
     conditional branch seeded at t_s below it; delta_sigma2 is relative to
     the conditional variance sigma^2 + t.
     """
-    if t_s is None or (math.isfinite(t_s) and t >= t_s):
-        m = guided_phase_moments(t, math.inf, sigma2, w)
-    elif math.isinf(t_s):
-        return 0.0, 0.0
-    else:
-        seed = guided_phase_moments(t_s, math.inf, sigma2, w)
-        m = conditional_phase_moments(t, t_s, sigma2, seed)
+    m = _moments_at(t, t_s, sigma2, w)
     return m.mean_coeff - 1.0, (m.variance - (sigma2 + t)) / (sigma2 + t)
 
 
@@ -414,12 +368,7 @@ def delta_estimators_constant(
 # ---------------------------------------------------------------------------
 
 
-def guided_moments_linear_schedule(
-    t: float,
-    sigma2: float,
-    sched: Linear,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> GuidedMoments:
+def guided_moments_linear_schedule(t: float, sigma2: float, sched: Linear) -> GuidedMoments:
     """Horizon -> inf guided moments under w(t) = w0 + omega*t.
 
     The guided-phase drift coincides with the jointly-Gaussian case at
@@ -429,17 +378,12 @@ def guided_moments_linear_schedule(
     """
     if sched.omega == 0.0:
         return guided_phase_moments(t, math.inf, sigma2, sched.w0)
-    a = lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t, settings)
-    big = Lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t, settings)
+    a = lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
+    big = Lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
     return GuidedMoments(t=t, mean_coeff=a, variance=(sigma2 + t) * big, phase=GUIDED)
 
 
-def delta_estimators_linear(
-    t: float,
-    sigma2: float,
-    sched: Linear,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> tuple[float, float]:
+def delta_estimators_linear(t: float, sigma2: float, sched: Linear) -> tuple[float, float]:
     """Distortion pair at time t under a linear schedule (guided-only regime).
 
     Here delta_sigma2 is the absolute variance deviation s^2(t) - (sigma2+t),
@@ -447,36 +391,22 @@ def delta_estimators_linear(
     linear-ramp benchmark pins the pair (delta_mu, delta_sigma2)(0) to
     (sigma2, (1-2*sigma2)/3), which fixes this normalisation.
     """
-    m = guided_moments_linear_schedule(t, sigma2, sched, settings)
+    m = guided_moments_linear_schedule(t, sigma2, sched)
     return m.mean_coeff - 1.0, m.variance - (sigma2 + t)
 
 
 def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:
     """Closed-form switch time for the solvable ramp w0 = sigma2-1, omega = 1.
 
-    t_s = 1/(exp(2*beta - 1) - 1) - sigma2 for beta > 1/2; None otherwise
-    (for beta <= 1/2 the process stays conditional: zero distortion), and
-    None as well when the closed form lands at or below zero.
+    t_s = 1/(exp(2*beta - 1) - 1) - sigma2 for beta > 1/2.  The sentinels
+    are ``DistortionReport``'s: math.inf for beta <= 1/2 (the process stays
+    conditional: zero distortion) and None when the closed form lands at or
+    below zero (guided throughout).
     """
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
     if beta <= 0.5:
-        return None
+        return math.inf
     t_s = 1.0 / math.expm1(2.0 * beta - 1.0) - sigma2
     return t_s if t_s > 0.0 else None
 
-
-def potential_minimum_and_width(
-    t: float, sigma2: float, w: float
-) -> tuple[float, float]:
-    """Centre coefficient and squared width of the guided-phase well.
-
-    centre = (1+w)(g+1)/(w+g+1) (times c1), width^2 = g(g+1)/(g+1+w) with
-    g = sigma2 + t: positive w pushes the centre beyond c1 and narrows the
-    well below the conditional variance g.
-    """
-    g = sigma2 + t
-    denom = w + g + 1.0
-    if denom <= 0:
-        raise DomainError("w + sigma2 + t + 1 must be positive")
-    return (1.0 + w) * (g + 1.0) / denom, g * (g + 1.0) / denom

@@ -18,7 +18,6 @@ from .errors import CfgLabError, DomainError
 from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from .mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
 from .schedule import Constant, Linear
-from .special_math import QuadratureSettings
 
 __all__ = [
     "AxisSpec",
@@ -29,15 +28,7 @@ __all__ = [
     "sweep_sigma_w",
     "sweep_schedule_phase_diagram",
     "sweep_joint_gaussian_schedule",
-    "REGION_LABELS",
 ]
-
-REGION_LABELS = (
-    "separability_and_diversity",
-    "mean_collapse",
-    "variance_shrink",
-    "no_distortion",
-)
 
 _SIGN_TOL = 1e-9
 _ZERO_TOL = 1e-6
@@ -145,11 +136,7 @@ def sweep_sigma_w(beta: float, grid: GridSpec) -> list[SweepRow]:
     return _run_grid(grid, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
 
 
-def sweep_schedule_phase_diagram(
-    sigma2: float,
-    grid: GridSpec,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> list[SweepRow]:
+def sweep_schedule_phase_diagram(sigma2: float, grid: GridSpec) -> list[SweepRow]:
     """t=0 distortion over (w0, omega) for the ramped schedule, guided-only path.
 
     Valid in the regime where the class density is large enough that the
@@ -161,18 +148,13 @@ def sweep_schedule_phase_diagram(
         raise DomainError("sigma2 must be positive")
 
     def cell(w0: float, omega: float) -> SweepRow:
-        dm, dv = delta_estimators_linear(0.0, sigma2, Linear(w0, omega), settings)
+        dm, dv = delta_estimators_linear(0.0, sigma2, Linear(w0, omega))
         return SweepRow(w0, omega, None, dm, dv, classify_region(dm, dv))
 
     return _run_grid(grid, cell)
 
 
-def sweep_joint_gaussian_schedule(
-    r: float,
-    s: float,
-    grid: GridSpec,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> list[SweepRow]:
+def sweep_joint_gaussian_schedule(r: float, s: float, grid: GridSpec) -> list[SweepRow]:
     """lambda(0) and Lambda(0) over (w0, omega) for one eigenvalue pair.
 
     The delta columns hold lambda-1 and Lambda-1, so the shared sign
@@ -184,8 +166,8 @@ def sweep_joint_gaussian_schedule(
 
     def cell(w0: float, omega: float) -> SweepRow:
         sched = Linear(w0, omega)
-        lam = lambda_coeff_linear(s, r, sched, 0.0, settings)
-        big = Lambda_coeff_linear(s, r, sched, 0.0, settings)
+        lam = lambda_coeff_linear(s, r, sched, 0.0)
+        big = Lambda_coeff_linear(s, r, sched, 0.0)
         return SweepRow(w0, omega, None, lam - 1.0, big - 1.0, classify_region(lam - 1.0, big - 1.0))
 
     return _run_grid(grid, cell)

@@ -12,13 +12,11 @@ from cfglab.mixture_theory import (
     GuidedMoments,
     MixtureTheoryParams,
     assemble_trajectory,
-    condensation_lambda,
     conditional_phase_moments,
     delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
     guided_phase_moments,
-    potential_minimum_and_width,
     sanity_schedule_speciation,
     speciation_time,
     typical_overlaps,
@@ -165,36 +163,6 @@ class TestSpeciationTime:
             speciation_time(MixtureTheoryParams(0.5, 0.1, Linear(0.0, 1.0)))
 
 
-class TestCondensationLambda:
-    def test_zero_density_boundary_root(self):
-        assert condensation_lambda(0.5, 0.5, 0.0, 2.0) == 0.0
-
-    def test_matches_grid_scan(self):
-        sigma2, t, beta, q2 = 0.5, 0.3, 0.4, 2.5
-        g = sigma2 + t
-        f = lambda lam: (
-            beta - 0.5 * math.log1p(lam / g)
-            + lam / (2.0 * (g + lam)) * (1.0 - lam * q2 / (g + lam))
-        )
-        grid = np.geomspace(1e-6, 1e8, 200000)
-        vals = np.array([f(float(x)) for x in grid])
-        j = int(np.where(vals <= 0.0)[0][0])
-        ref = 0.5 * (grid[j - 1] + grid[j])
-        got = condensation_lambda(t, sigma2, beta, q2)
-        assert got == pytest.approx(ref, rel=1e-4)
-
-    def test_grows_like_sqrt_of_horizon(self):
-        # noise-prior scaling q2 ~ T: root approx 1/2 + sqrt(1/4 + 2 beta T)
-        beta, sigma2 = 0.5, 0.5
-        prev = 0.0
-        for T in (1e4, 1e6):
-            lam = condensation_lambda(T, sigma2, beta, q2=T)
-            approx = 0.5 + math.sqrt(0.25 + 2.0 * beta * T)
-            assert lam == pytest.approx(approx, rel=0.05)
-            assert lam > prev
-            prev = lam
-
-
 class TestGuidedPhaseMoments:
     def test_unguided_marginal(self):
         for t in (0.0, 0.8, 7.0):
@@ -308,6 +276,10 @@ class TestAssembleTrajectory:
         assert abs(values[60.0] - values[40.0]) < 0.05 * values[60.0]
 
     def test_never_condensed_along_guided_branch(self):
+        # A single mode would dominate the overlap sum at tilts lam where
+        # beta - log1p(lam/g)/2 + lam/(2(g+lam)) (1 - lam q2/(g+lam)) <= 0;
+        # with i.i.d. centroids the guided branch stays clear of it up to lam = 1.
+        lams = np.geomspace(1e-6, 1.0, 400)
         for beta, w in ((0.3, 1.0), (1.2, 1.0), (0.1, 0.5)):
             params = MixtureTheoryParams(0.5, beta, Constant(w))
             t_s = speciation_time(params)
@@ -315,8 +287,13 @@ class TestAssembleTrajectory:
             for t in np.geomspace(max(lo, 1e-3), 1e3, 40):
                 m = guided_phase_moments(float(t), math.inf, 0.5, w)
                 q2 = m.mean_coeff**2 + m.variance
-                lam = condensation_lambda(float(t), 0.5, beta, q2)
-                assert lam is None or lam > 1.0
+                g = 0.5 + float(t)
+                f = (
+                    beta
+                    - 0.5 * np.log1p(lams / g)
+                    + lams / (2.0 * (g + lams)) * (1.0 - lams * q2 / (g + lams))
+                )
+                assert np.all(f > 0.0), (beta, w, t)
 
     def test_report_phase_bookkeeping(self):
         _, rep = assemble_trajectory(MixtureTheoryParams(0.5, 1.2, Constant(1.0)), [0.0])
@@ -330,6 +307,23 @@ class TestAssembleTrajectory:
 
 
 class TestDeltaEstimatorsConstant:
+    @pytest.mark.parametrize("beta", [1.2, 0.0, 0.3], ids=["guided", "conditional", "switch"])
+    def test_deltas_match_trajectory_in_every_branch(self, beta):
+        # t_s is None at beta = 1.2, math.inf at beta = 0 and finite at 0.3
+        sigma2, w = 0.5, 1.0
+        params = MixtureTheoryParams(sigma2, beta, Constant(w))
+        _, rep = assemble_trajectory(params, [0.0])
+        t_s = rep.t_speciation
+        times = [0.0, 0.5, 3.0]
+        if t_s is not None and math.isfinite(t_s):
+            eps = 1e-9 * t_s
+            times += [t_s - eps, t_s + eps]
+        times.sort()
+        moments, _ = assemble_trajectory(params, times)
+        for t, m in zip(times, moments):
+            expected = (m.mean_coeff - 1.0, (m.variance - (sigma2 + t)) / (sigma2 + t))
+            assert delta_estimators_constant(t, sigma2, w, t_s) == expected
+
     def test_zero_guidance(self):
         for t in (0.0, 0.7, 3.0):
             dm, dv = delta_estimators_constant(t, 0.5, 0.0, None)
@@ -385,8 +379,8 @@ class TestLinearScheduleMoments:
 
 class TestSanityScheduleSpeciation:
     def test_no_switch_at_and_below_half(self):
-        assert sanity_schedule_speciation(0.3, 0.5) is None
-        assert sanity_schedule_speciation(0.3, 0.2) is None
+        assert sanity_schedule_speciation(0.3, 0.5) == math.inf
+        assert sanity_schedule_speciation(0.3, 0.2) == math.inf
 
     def test_closed_form_value(self):
         assert sanity_schedule_speciation(0.25, 1.0) == pytest.approx(0.331977, abs=1e-6)
@@ -394,15 +388,3 @@ class TestSanityScheduleSpeciation:
     def test_negative_values_clipped(self):
         assert sanity_schedule_speciation(0.6, 1.0) is None
 
-
-class TestPotentialMinimumAndWidth:
-    def test_unguided_well(self):
-        assert potential_minimum_and_width(0.3, 0.5, 0.0) == (1.0, 0.8)
-
-    def test_positive_guidance_expands_and_narrows(self):
-        centre, width2 = potential_minimum_and_width(0.0, 0.5, 1.5)
-        assert centre > 1.0 and width2 < 0.5
-
-    def test_negative_guidance_reference(self):
-        centre, width2 = potential_minimum_and_width(0.0, 0.5, -0.5)
-        assert centre == pytest.approx(0.75) and width2 == pytest.approx(0.75)
