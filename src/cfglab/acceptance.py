@@ -33,13 +33,14 @@ from .joint_gaussian import (
 from .mixture_theory import (
     DistortionReport,
     MixtureTheoryParams,
+    _guided_mean_coeff,
+    _guided_variance,
     _report,
     _switch_root,
     assemble_trajectory,
     delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
-    guided_phase_moments,
     sanity_schedule_speciation,
     speciation_time,
     zeta,
@@ -366,18 +367,18 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
 
     A sample sits at |x - c1|^2/d -> (a-1)^2 + s^2 and |x|^2/d -> a^2 + s^2,
     the q1 and q2 that ``zeta`` defines; ``assemble_trajectory`` takes the
-    mean path (a-1)^2, a^2 instead.  The switch is the root of
-    beta + zeta(t, 1, sigma2, q1, q2), found by ``speciation_time``'s scan and
-    bisection; the moments on either side are the package's closed forms.
-    At w = 0 the root is the collapse time 1/(exp(2 beta) - 1) - sigma2 and
-    the distortion vanishes.
+    mean path (a-1)^2, a^2 instead.  The switch is the largest root of
+    beta + zeta(t, 1, sigma2, q1, q2), found by ``speciation_time``'s array
+    scan and multisection, with a and s^2 from the guided-phase closed forms
+    evaluated on arrays of times; the moments on either side are the
+    package's closed forms.  At w = 0 the root is the collapse time
+    1/(exp(2 beta) - 1) - sigma2 and the distortion vanishes.
     """
 
-    def switch(t: float) -> float:
-        m = guided_phase_moments(t, math.inf, sigma2, w)
-        q1 = (m.mean_coeff - 1.0) ** 2 + m.variance
-        q2 = m.mean_coeff**2 + m.variance
-        return beta + zeta(t, 1.0, sigma2, q1, q2)
+    def switch(t: np.ndarray) -> np.ndarray:
+        a = _guided_mean_coeff(t, sigma2, w)
+        s2 = _guided_variance(t, sigma2, w)
+        return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
 
     return _report(_switch_root(switch), sigma2, w)
 

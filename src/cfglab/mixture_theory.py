@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -75,10 +75,12 @@ __all__ = [
 GUIDED = "guided"
 CONDITIONAL = "conditional"
 
-# The switch-time scan brackets a sign change on a log grid before bisecting.
-_SCAN_LO = 1e-6
-_SCAN_HI = 1e8
-_SCAN_POINTS = 400
+# The switch-time scan brackets a sign change on a log grid before refining.
+_SCAN_GRID = np.geomspace(1e-6, 1e8, 400)
+
+# The closed forms below take a time (or any other argument) as a float or as
+# a numpy array of them, and return the same kind.
+FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -132,18 +134,22 @@ class DistortionReport:
 # ---------------------------------------------------------------------------
 
 
-def zeta(t: float, lam: float, sigma2: float, q1: float, q2: float) -> float:
+def zeta(
+    t: FloatOrArray, lam: float, sigma2: float, q1: FloatOrArray, q2: FloatOrArray
+) -> FloatOrArray:
     """Per-coordinate log-MGF of the mode-overlap energies at position x.
 
     q1 = lim |x - c1|^2 / d and q2 = lim |x|^2 / d locate x;
     zeta = lam*q1/(2g) - log(1 + lam/g)/2 - lam*q2/(2(g+lam)), g = sigma2 + t.
+    Elementwise over array arguments; DomainError if any element has
+    sigma2 + t <= 0 or sigma2 + t + lam <= 0.
     """
     g = sigma2 + t
-    if g <= 0 or g + lam <= 0:
+    if np.any(g + min(lam, 0.0) <= 0):  # g + lam <= g when lam <= 0: one test covers both
         raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got g={g}, lam={lam}")
     return (
         lam * q1 / (2.0 * g)
-        - 0.5 * math.log1p(lam / g)
+        - 0.5 * np.log1p(lam / g)
         - lam * q2 / (2.0 * (g + lam))
     )
 
@@ -156,13 +162,13 @@ def zeta_prime(t: float, lam: float, sigma2: float, q1: float, q2: float) -> flo
     return q1 / (2.0 * g) - 0.5 / (g + lam) - g * q2 / (2.0 * (g + lam) ** 2)
 
 
-def typical_overlaps(t: float, sigma2: float, w: float) -> tuple[float, float]:
+def typical_overlaps(t: FloatOrArray, sigma2: float, w: float) -> tuple[FloatOrArray, FloatOrArray]:
     """(q1, q2) on the mean guided path: q1 = (a-1)^2, q2 = a^2, |c1|^2/d = 1."""
     a = _guided_mean_coeff(t, sigma2, w)
     return (a - 1.0) ** 2, a * a
 
 
-def zeta_typical(t: float, sigma2: float, w: float) -> float:
+def zeta_typical(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
     """zeta at unit tilt along the typical guided trajectory.
 
     Tends to -(1+w)/t at large t, so the switch time diverges like (1+w)/beta
@@ -180,8 +186,9 @@ def zeta_typical(t: float, sigma2: float, w: float) -> float:
 def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
     """Backward time where the guided phase hands over to the conditional one.
 
-    Solves beta + zeta_typical(t) = 0 by a descending sign scan over a log
-    grid on (1e-6, 1e8) followed by bisection in log t.  Returns None when
+    Solves beta + zeta_typical(t) = 0 for its largest root: one array
+    evaluation on a log grid on (1e-6, 1e8) brackets the last sign change,
+    and ``bisection_root``'s multisection in log t refines it.  Returns None when
     beta + zeta stays positive on the whole grid (no transition), and
     math.inf when it is negative even at the largest grid time (the process
     is conditional before any finite time; zero distortion).
@@ -193,30 +200,32 @@ def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
     return _switch_root(lambda t: beta + zeta_typical(t, params.sigma2, w))
 
 
-def _switch_root(f: Callable[[float], float]) -> Optional[float]:
+def _switch_root(f: Callable[[np.ndarray], np.ndarray]) -> Optional[float]:
     """Largest root in t of a switch condition f(t) = beta + zeta(t).
 
-    Descending sign scan over the log grid on (1e-6, 1e8), then bisection in
-    log t to 1e-13.  None when f stays positive on the whole grid, math.inf
-    when f is nonpositive even at the largest grid time (the sentinels of
-    ``DistortionReport``).
+    f takes an array of times.  One call of f on the 400-point log grid on
+    (1e-6, 1e8) finds the last grid point where f <= 0; ``bisection_root``
+    then refines the bracket above it in log t to 1e-13.  None when f stays
+    positive on the whole grid, math.inf when f is nonpositive even at the
+    largest grid time (the sentinels of ``DistortionReport``); a grid point
+    where f is exactly zero is returned as it is.
     """
-    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    values = [f(t) for t in grid]
+    values = f(_SCAN_GRID)
     if values[-1] <= 0.0:
         return math.inf
-    for k in range(len(grid) - 2, -1, -1):
-        if values[k] <= 0.0:
-            if values[k] == 0.0:
-                return float(grid[k])
-            x = bisection_root(
-                lambda y: f(math.exp(y)),
-                math.log(grid[k]),
-                math.log(grid[k + 1]),
-                1e-13,
-            )
-            return math.exp(x)
-    return None
+    nonpositive = np.flatnonzero(values[:-1] <= 0.0)
+    if nonpositive.size == 0:
+        return None
+    k = int(nonpositive[-1])
+    if values[k] == 0.0:
+        return float(_SCAN_GRID[k])
+    x = bisection_root(
+        lambda y: f(np.exp(y)),
+        math.log(_SCAN_GRID[k]),
+        math.log(_SCAN_GRID[k + 1]),
+        1e-13,
+    )
+    return math.exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +233,18 @@ def _switch_root(f: Callable[[float], float]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _guided_mean_coeff(t: float, sigma2: float, w: float) -> float:
+def _guided_mean_coeff(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
     # a(t) = g^(1+w) h^-w [ (1 + 1/g)^(1+w) - 1 ],  g = sigma2+t, h = g+1
     g = sigma2 + t
-    ell = math.log1p(1.0 / g)
-    return g * math.exp(-w * ell) * math.expm1((1.0 + w) * ell)
+    ell = np.log1p(1.0 / g)
+    return g * np.exp(-w * ell) * np.expm1((1.0 + w) * ell)
 
 
-def _guided_variance(t: float, sigma2: float, w: float) -> float:
+def _guided_variance(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
     # s^2(t) = g^(2w+2) h^-2w [ (1 + 1/g)^(2w+1) - 1 ] / (2w+1)
     g = sigma2 + t
-    ell = math.log1p(1.0 / g)
-    return g * g * math.exp(-2.0 * w * ell) * math.expm1((2.0 * w + 1.0) * ell) / (2.0 * w + 1.0)
+    ell = np.log1p(1.0 / g)
+    return g * g * np.exp(-2.0 * w * ell) * np.expm1((2.0 * w + 1.0) * ell) / (2.0 * w + 1.0)
 
 
 def guided_phase_moments(
@@ -258,8 +267,8 @@ def guided_phase_moments(
             raise DomainError(f"horizon -> inf requires w > -1/2, got {w}")
         return GuidedMoments(
             t=t,
-            mean_coeff=_guided_mean_coeff(t, sigma2, w),
-            variance=_guided_variance(t, sigma2, w),
+            mean_coeff=float(_guided_mean_coeff(t, sigma2, w)),
+            variance=float(_guided_variance(t, sigma2, w)),
             phase=GUIDED,
         )
     if init is None:

@@ -6,7 +6,9 @@ Self-contained implementations (no external special-function dependency) of
 * definite incomplete Beta integrals  int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr,
   including exponents a <= 0 (only with f1 > 0) and endpoint regularisation
   by change of variable when 0 < a < 1 or 0 < b < 1,
-* bracketed bisection root finding.
+* bracketed root finding by multisection: each round evaluates the function
+  once on an array of equispaced points and keeps the last sub-bracket where
+  the sign changes.
 
 All functions are pure; the module holds no mutable state.
 """
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
+
+import numpy as np
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -209,32 +213,46 @@ def incomplete_beta_definite(
     return math.fsum(pieces)
 
 
+# Sub-brackets per multisection round.  Each round costs one array call of
+# g, so a wide section cuts the Python-level rounds: a bracket of width 0.08
+# reaches 1e-13 in 5 rounds instead of 40 bisection steps.
+_SECTIONS = 256
+_SECTION_FRACTIONS = np.linspace(0.0, 1.0, _SECTIONS + 1)
+
+
 def bisection_root(
-    g: Callable[[float], float], lo: float, hi: float, tol: float
+    g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
 ) -> float:
-    """Bisection on a sign-changing bracket; stops when the bracket is <= tol."""
+    """Largest root of g on a sign-changing bracket; stops when the bracket is <= tol.
+
+    g takes a 1-d array of points and returns its values there.  Each round
+    evaluates g on ``_SECTIONS + 1`` equispaced points of [lo, hi] and keeps
+    the last sub-bracket where the sign changes, so among the roots the grid
+    resolves the largest one is kept; with two sections this is plain
+    bisection.  A point where g is exactly zero is returned as it is.
+    """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    g_lo = g(lo)
-    g_hi = g(hi)
+    g_lo, g_hi = g(np.array([lo, hi]))
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
         return hi
     if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
+    sign_hi = 1.0 if g_hi > 0 else -1.0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        xs = lo + (hi - lo) * _SECTION_FRACTIONS
+        xs[-1] = hi
+        if xs[1] <= lo or xs[-2] >= hi:
             break  # float resolution reached
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
+        signs = np.sign(g(xs))
+        signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known
+        # Every point right of k has g(hi)'s sign: the last root lies in [x_k, x_k+1).
+        k = int(np.flatnonzero(signs != sign_hi)[-1])
+        if signs[k] == 0.0:
+            return float(xs[k])
+        lo, hi = float(xs[k]), float(xs[k + 1])
     return 0.5 * (lo + hi)
-

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import root_oracle
+from cfglab.acceptance import _sample_path_oracle
 from cfglab.errors import DomainError
 from cfglab.mixture_theory import (
     CONDITIONAL,
     GUIDED,
     GuidedMoments,
     MixtureTheoryParams,
+    _guided_mean_coeff,
+    _guided_variance,
     assemble_trajectory,
     conditional_phase_moments,
     delta_estimators_constant,
@@ -161,6 +165,75 @@ class TestSpeciationTime:
     def test_requires_constant_schedule(self):
         with pytest.raises(DomainError):
             speciation_time(MixtureTheoryParams(0.5, 0.1, Linear(0.0, 1.0)))
+
+
+_ARRAY_TIMES = np.geomspace(1e-6, 1e8, 400)
+
+
+class TestArrayClosedForms:
+    """Each closed form takes an array of times and returns, element by
+    element, what it returns for one Python float."""
+
+    @pytest.mark.parametrize("w", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "name,form",
+        [
+            ("mean_coeff", lambda t, w: _guided_mean_coeff(t, 0.5, w)),
+            ("variance", lambda t, w: _guided_variance(t, 0.5, w)),
+            ("q1", lambda t, w: typical_overlaps(t, 0.5, w)[0]),
+            ("q2", lambda t, w: typical_overlaps(t, 0.5, w)[1]),
+            ("zeta_typical", lambda t, w: zeta_typical(t, 0.5, w)),
+            ("zeta", lambda t, w: zeta(t, 0.7, 0.5, 1.3 + w, 2.1 + t)),
+        ],
+    )
+    def test_array_matches_scalar_calls(self, name, form, w):
+        on_array = form(_ARRAY_TIMES, w)
+        one_by_one = np.array([form(float(t), w) for t in _ARRAY_TIMES])
+        assert on_array.shape == _ARRAY_TIMES.shape
+        np.testing.assert_allclose(on_array, one_by_one, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [0, 137, 399])
+    @pytest.mark.parametrize("lam", [1.0, -0.2])
+    def test_zeta_rejects_one_element_outside_its_domain(self, k, lam):
+        sigma2 = 0.5
+        t = _ARRAY_TIMES.copy()
+        t[k] = -sigma2 - (0.0 if lam > 0 else 0.1)  # g = 0, or g + lam < 0 < g
+        with pytest.raises(DomainError):
+            zeta(t, lam, sigma2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "sigma2,beta,w,expected",
+    [
+        (0.5, 1.2, 1.0, None),  # guided throughout
+        (0.25, 2.0, 3.0, None),
+        (0.5, 0.0, 1.0, math.inf),  # always conditional
+        (2.0, 0.0, 0.0, math.inf),
+        (0.5, 0.1, 0.5, "finite"),
+        (0.5, 0.5, 1.0, "finite"),
+        (0.25, 0.3, 2.0, "finite"),
+        (1.0, 1e-3, 0.0, "finite"),
+        (0.1, 0.8, 3.0, "finite"),
+        (2.0, 0.05, -0.4, "finite"),
+        (0.05, 1.5, 0.2, "finite"),
+    ],
+)
+def test_switch_matches_scalar_scan_and_bisection(sigma2, beta, w, expected):
+    t_s = speciation_time(MixtureTheoryParams(sigma2, beta, Constant(w)))
+    ref = root_oracle.mean_path_switch(sigma2, beta, w)
+    if expected == "finite":
+        assert math.isfinite(ref)
+        assert t_s == pytest.approx(ref, rel=1e-12, abs=0.0)
+    else:
+        assert ref == expected and t_s == expected
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+def test_sample_path_switch_matches_scalar_scan_and_bisection(w):
+    # criterion 3's cell sigma2 = beta = 0.5
+    ref = root_oracle.sample_path_switch(0.5, 0.5, w)
+    assert math.isfinite(ref)
+    assert _sample_path_oracle(0.5, 0.5, w).t_speciation == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestGuidedPhaseMoments:

@@ -148,3 +148,26 @@ class TestBisectionRoot:
 
     def test_endpoint_root(self):
         assert bisection_root(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
+
+    def test_calls_g_on_arrays_only(self):
+        def g(x):
+            if not isinstance(x, np.ndarray):
+                raise TypeError(f"g takes an array, got {type(x).__name__}")
+            return x - 0.3
+
+        assert bisection_root(g, 0.0, 1.0, 1e-12) == pytest.approx(0.3, abs=1e-12)
+
+    def test_returns_the_last_root(self):
+        # Roots at 0.1, 0.6 and 0.7; g(0.5) > 0, so plain bisection would keep
+        # [0, 0.5] and return 0.1.  The switch time needs the largest root.
+        g = lambda x: (x - 0.1) * (x - 0.6) * (x - 0.7)
+        assert bisection_root(g, 0.0, 1.0, 1e-12) == pytest.approx(0.7, abs=1e-12)
+
+    def test_one_scan_cell_in_log_t_to_the_switch_tolerance(self):
+        # The switch-time bracket: one cell of the 400-point log grid on
+        # (1e-6, 1e8), refined in log t to 1e-13.
+        lo = math.log(1.5)
+        hi = lo + math.log(1e14) / 399
+        root = lo + 0.3 * (hi - lo)
+        g = lambda y: np.expm1(y - root) * (1.0 + np.exp(y))
+        assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
