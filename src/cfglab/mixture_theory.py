@@ -146,7 +146,7 @@ def zeta(
     """
     g = sigma2 + t
     if np.any(g + min(lam, 0.0) <= 0):  # g + lam <= g when lam <= 0: one test covers both
-        raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got g={g}, lam={lam}")
+        raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got min g={np.min(g)}, lam={lam}")
     return (
         lam * q1 / (2.0 * g)
         - 0.5 * np.log1p(lam / g)
