@@ -6,7 +6,7 @@ sweep {beta-w|sigma-w|schedule|joint-schedule}, validate.
 Global flags: --seed, --workers, --out-dir, --emit-plot, --quick, --config.
 --workers sets the number of threads over which ``simulate`` spreads its
 sample blocks, the only parallel axis (BLAS runs on one thread inside it);
-the other commands ignore it.
+the other commands ignore it and leave it out of their manifests.
 Flag precedence: command line > JSON config file > built-in defaults; the
 resolved parameter set is recorded in a manifest written next to every
 output, and re-running with the same parameters reproduces the CSV outputs
@@ -284,6 +284,8 @@ def _resolve_globals(ns: argparse.Namespace) -> None:
 
 def _resolved_params(ns: argparse.Namespace) -> dict:
     skip = {"command", "target", "kind", "config"}
+    if ns.command != "simulate":
+        skip.add("workers")  # only simulate reads it
     return {k: v for k, v in sorted(vars(ns).items()) if k not in skip}
 
 

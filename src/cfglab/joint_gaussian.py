@@ -47,6 +47,9 @@ __all__ = [
 
 _ORTHO_TOL = 1e-10
 
+# Rows per drift GEMM: the simulator's block, so tiles never straddle blocks.
+_TILE = 1024
+
 
 @dataclass(frozen=True)
 class JointGaussianModel:
@@ -220,21 +223,27 @@ def exact_scores(
 def guided_score_batch(
     model: JointGaussianModel, sched: GuidanceSchedule, x: np.ndarray, t: float
 ) -> np.ndarray:
-    """Guided drift (1+w(t)) * cond - w(t) * uncond for a batch of rows.
+    """Guided drift (1+w(t)) * cond - w(t) * uncond for an (n, d) batch of rows.
 
     The drift is affine in x, so each call forms, with w = w(t),
 
         A = V diag(w/(r+t) - (1+w)/(s+t)) V^T,
         b = V ((1+w) (V^T mu) / (s+t)),
 
-    and returns the rows x @ A + b (A is symmetric): one GEMM against a
-    (d, d) matrix per call instead of a round trip through the eigenbasis.
+    and returns the rows x @ A + b (A is symmetric): a GEMM against a (d, d)
+    matrix instead of a round trip through the eigenbasis.  The GEMM runs
+    over 1024-row tiles from the first row, aligned with the simulator's
+    blocks, because OpenBLAS rounds a row differently depending on how many
+    rows share its call; so each row of a batch that starts at a block
+    boundary gets the same bytes as in a call on its block alone.
     """
     w = guidance_level(sched, t)
     basis = model.basis
     a = (basis * (w / (model.r + t) - (1.0 + w) / (model.s + t))) @ basis.T
     b = basis @ ((1.0 + w) * (basis.T @ model.mu) / (model.s + t))
-    drift = x @ a
+    drift = np.empty(np.shape(x))
+    for lo in range(0, len(x), _TILE):
+        np.matmul(x[lo:lo + _TILE], a, out=drift[lo:lo + _TILE])
     drift += b
     return drift
 

@@ -7,9 +7,11 @@ with bootstrap standard errors.
 
 Determinism contract: every random draw comes from a counter-based Philox
 stream keyed by (master seed, purpose tag, step, block).  Samples are
-processed in fixed-size blocks whose computation never depends on how blocks
-are distributed over workers, and BLAS runs single-threaded inside each, so
-outputs are bit-identical for a given ``SimConfig`` under any worker count
+processed in fixed-size blocks; a contiguous run of blocks advances one step
+at a time, with one score call on all of its rows.  The scores compute every
+row independently of the rest of its call (their GEMMs run over tiles aligned
+with the blocks) and BLAS runs single-threaded, so outputs are bit-identical
+for a given ``SimConfig`` under any worker count, any grouping of the blocks
 and any BLAS thread count.
 """
 
@@ -127,9 +129,33 @@ class EmpiricalDistortion:
     n_samples: int
 
 
+def _philox_key(seed: int, tag: int, index: int) -> np.ndarray:
+    """Philox key of stream (seed, tag, index): seed mod 2^64, then tag << 32 | index."""
+    return np.array([seed & (2**64 - 1), (tag << 32) | index], dtype=np.uint64)
+
+
 def _philox(seed: int, tag: int, index: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64((tag << 32) | index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, tag, index)))
+
+
+_PHILOX_START = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, seed: int, tag: int, index: int) -> np.random.Generator:
+    """Point a Philox generator at the start of stream (seed, tag, index).
+
+    It then draws what ``_philox(seed, tag, index)`` draws, without building a
+    new bit generator (and the SeedSequence its constructor gathers).
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_START, "key": _philox_key(seed, tag, index)},
+        "buffer": _PHILOX_START,
+        "buffer_pos": len(_PHILOX_START),
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def mode_count(beta: float, d: int) -> int:
@@ -181,6 +207,8 @@ def make_mixture_score_fn(
     keys [C^T; -|c|^2/2] gives the logits (x.c - |c|^2/2)/g in one GEMM, and
     the exponentiated, max-shifted tile times the values [C, 1] gives the
     weighted sum and, in its last column, the normaliser in a second GEMM.
+    Tiles start at the first row, so a batch of whole 1024-row blocks splits
+    into the same tiles as each block alone and every row gets the same bytes.
 
     ``softmax_dtype=np.float32`` halves the cost of the (n_samples, M) softmax
     at exponential mode counts; the conditional part stays in float64.
@@ -302,11 +330,18 @@ def integrate_backward(
     """Integrate n_samples backward trajectories; returns {checkpoint: (n, d)}.
 
     Initial condition x_T ~ N(init_mean, T * I) (zero mean by default).
-    The blocks are the only parallel axis: ``workers`` threads share them,
-    and OpenBLAS runs on one thread inside each for the whole call, so the
-    output does not depend on the BLAS thread count either.
-    Raises NumericalError naming the step and sample where a state first
-    leaves float range.
+    The blocks are the only parallel axis: they are split into
+    min(workers, n_blocks) contiguous groups, the calling thread runs the
+    first and a pool of the remaining threads the others.  A group advances
+    all of its rows one step at a time: one ``score_fn`` call on the group's
+    rows, then each block's noise drawn from its own (step, block) stream.
+    ``score_fn`` must compute every row independently of the rest of its call
+    (as both targets' drifts do, over block-aligned tiles), so the output does
+    not depend on the grouping.  OpenBLAS runs on one thread for the whole
+    call, so it does not depend on the BLAS thread count either.
+    Raises NumericalError naming the first step at which a state leaves
+    float range and a sample that left it (from the first failing group in
+    block order).
     """
     grid = time_grid(config, grid_offset)
     n, d = config.n_samples, config.dim
@@ -316,35 +351,49 @@ def integrate_backward(
         raise DomainError("init_mean must be a length-d vector")
     wanted = set(config.checkpoints)
     out = {t: np.empty((n, d)) for t in config.checkpoints}
+    x = np.empty((n, d))
     n_blocks = (n + _BLOCK - 1) // _BLOCK
+    n_groups = max(1, min(workers, n_blocks))
+    # Contiguous groups whose sizes differ by at most one block.
+    size, extra = divmod(n_blocks, n_groups)
+    edges = [g * size + min(g, extra) for g in range(n_groups + 1)]
 
-    def run_block(b: int) -> None:
-        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
-        m = hi - lo
-        x = mean0 + sqrt_T * _philox(config.seed, _TAG_INIT, b).standard_normal((m, d))
+    def run_group(first: int, last: int) -> None:
+        lo, hi = first * _BLOCK, min(last * _BLOCK, n)
+        rows = x[lo:hi]
+        blocks = [(b, x[b * _BLOCK:min((b + 1) * _BLOCK, n)]) for b in range(first, last)]
+        noise = np.empty((min(_BLOCK, hi - lo), d))
+        rng = _philox(config.seed, _TAG_INIT)  # re-keyed before every draw
+        for b, block in blocks:
+            _rekey(rng, config.seed, _TAG_INIT, b).standard_normal(out=block)
+            block *= sqrt_T
+            block += mean0
         if grid[0] in wanted:
-            out[grid[0]][lo:hi] = x
+            out[grid[0]][lo:hi] = rows
         for k in range(len(grid) - 1):
             t, t_next = grid[k], grid[k + 1]
             dt = t - t_next
-            x = x + score_fn(x, t) * dt
-            x += math.sqrt(dt) * _philox(config.seed, _TAG_STEP, k * n_blocks + b).standard_normal((m, d))
-            if not np.all(np.isfinite(x)):
-                bad = int(np.argwhere(~np.isfinite(x).all(axis=1))[0, 0])
+            rows += score_fn(rows, t) * dt
+            sqrt_dt = math.sqrt(dt)
+            for b, block in blocks:
+                z = noise[:len(block)]
+                _rekey(rng, config.seed, _TAG_STEP, k * n_blocks + b).standard_normal(out=z)
+                z *= sqrt_dt
+                block += z
+            if not np.isfinite(rows).all():
+                bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
                 raise NumericalError(
                     f"non-finite state at step {k} (t={t_next:.6g}), sample {lo + bad}"
                 )
             if t_next in wanted:
-                out[t_next][lo:hi] = x
+                out[t_next][lo:hi] = rows
 
-    with _blas_on_one_thread():
-        if workers <= 1 or n_blocks == 1:
-            for b in range(n_blocks):
-                run_block(b)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for fut in [pool.submit(run_block, b) for b in range(n_blocks)]:
-                    fut.result()
+    # Threads start on submit, so a lone group starts none.
+    with _blas_on_one_thread(), ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
+        futures = [pool.submit(run_group, edges[g], edges[g + 1]) for g in range(1, n_groups)]
+        run_group(edges[0], edges[1])
+        for fut in futures:
+            fut.result()
     return out
 
 

@@ -70,6 +70,16 @@ class TestManifests:
         assert manifest["outputs"] == ["j.csv"]
         assert "duration_s" in manifest and manifest["parameters"]["s"] == 0.6
 
+    def test_workers_recorded_only_where_it_is_read(self, tmp_path):
+        main(["--workers", "3", "--out-dir", str(tmp_path), "sweep", "beta-w", "--sigma2", "0.5",
+              "--beta-points", "2", "--w-points", "2", "--out", "g.csv"])
+        sweep = json.loads(_read(tmp_path / "g.csv.manifest.json"))["parameters"]
+        assert "workers" not in sweep and sweep["sigma2"] == 0.5
+        main(["--workers", "3", "--out-dir", str(tmp_path), "simulate", "joint", "--d2", "3",
+              "--w", "1", "--n", "50", "--steps", "20", "--out", "j.csv"])
+        simulate = json.loads(_read(tmp_path / "j.csv.manifest.json"))["parameters"]
+        assert simulate["workers"] == 3
+
     def test_replay_from_manifest_parameters(self, tmp_path):
         argv = ["--seed", "5", "--out-dir", str(tmp_path / "a"), "theory", "mixture",
                 "--sigma2", "0.4", "--beta", "0.2", "--w", "0.8", "--t", "0,1",

@@ -255,3 +255,20 @@ class TestExactScores:
             cond, uncond = exact_scores(model, X[i], t)
             expected = cond if w == 0.0 else (1 + w) * cond - w * uncond
             np.testing.assert_allclose(batch[i], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [2500, 3000])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 7.0, 500.0])
+    @pytest.mark.parametrize(
+        "sched", [Constant(2.0), Linear(-0.4, 0.5)], ids=["constant2", "linear-0.4+0.5t"]
+    )
+    def test_batch_rows_match_their_block_calls_bit_for_bit(self, sched, t, rows):
+        # The simulator may call the drift on several 1024-row blocks at once.
+        # At d = 20 an untiled OpenBLAS GEMM rounds a row differently once the
+        # batch passes 2500 rows (rows * d * d > 1e6 leaves its small-matrix
+        # kernel), so 3000 rows is the case that tells tiled from untiled.
+        model = random_model(20, seed=3)
+        rng = np.random.default_rng(8)
+        X = model.mu + 3.0 * rng.standard_normal((rows, 20))
+        batch = guided_score_batch(model, sched, X, t)
+        blocks = [guided_score_batch(model, sched, X[lo:lo + 1024], t) for lo in range(0, rows, 1024)]
+        np.testing.assert_array_equal(batch.view(np.uint64), np.concatenate(blocks).view(np.uint64))

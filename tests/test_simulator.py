@@ -1,15 +1,21 @@
 """Monte Carlo engine: determinism, exact scores, estimator behaviour."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from cfglab.errors import BudgetError, DomainError, NumericalError
+from cfglab.joint_gaussian import guided_score_batch, random_model
 from cfglab.schedule import Constant
 from cfglab.simulator import (
     SimConfig,
+    _TAG_STEP,
     _openblas_threads,
+    _philox,
+    _rekey,
     integrate_backward,
     make_mixture_score_fn,
     measure_distortion,
@@ -46,6 +52,23 @@ class TestSampleCentroids:
         assert mode_count(0.5, 20) == 22026
         with pytest.raises(BudgetError):
             mode_count(0.6, 20)
+
+
+class TestPhiloxStreams:
+    # (step, block) at block and step boundaries of a 20-block, 2000-step run.
+    @pytest.mark.parametrize("k,b", [(0, 0), (0, 19), (1, 0), (1, 19), (1999, 0), (1999, 19)])
+    @pytest.mark.parametrize("seed", [0, 31, 2**63, 2**63 + 12345, 2**64 - 1])
+    def test_rekeyed_generator_draws_the_fresh_stream(self, seed, k, b):
+        index = k * 20 + b
+        rng = _philox(seed ^ 1, _TAG_STEP, index + 1)
+        rng.standard_normal(5)
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)  # leaves a cached half word
+        _rekey(rng, seed, _TAG_STEP, index)
+        fresh = _philox(seed, _TAG_STEP, index)
+        for draw in (lambda g: g.standard_normal(37).view(np.uint64),
+                     lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                     lambda g: g.bit_generator.random_raw(9)):
+            np.testing.assert_array_equal(draw(rng), draw(fresh))
 
 
 # Both softmax dtypes the simulator ships; the conditional part is float64 in each.
@@ -249,6 +272,49 @@ class TestIntegrateBackward:
                         horizon_T=1.0, n_steps=10)
         with pytest.raises(NumericalError, match="step"):
             integrate_backward(cfg, lambda x, t: np.full_like(x, np.inf))
+
+    def test_joint_drift_byte_identical_over_block_groupings(self):
+        # Three blocks, the last partial: workers 1, 2 and 3 group them as
+        # {0,1,2}, {0,1}+{2} and {0}+{1}+{2}, and the drift's d = 20 GEMM
+        # must round each row the same in every grouping.  The groups share
+        # one state array; a short switch interval interleaves their threads.
+        model = random_model(20, seed=1)
+        sched = Constant(2.0)
+        cfg = SimConfig(dim=20, n_samples=3000, seed=9, schedule=sched,
+                        horizon_T=50.0, n_steps=30, checkpoints=(0.0, 1.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [integrate_backward(cfg, lambda x, t: guided_score_batch(model, sched, x, t),
+                                       grid_offset=float(model.s.min()), init_mean=model.mu,
+                                       workers=workers)
+                    for workers in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for out in runs[1:]:
+            for t in (0.0, 1.0):
+                np.testing.assert_array_equal(out[t], runs[0][t])
+
+    def test_nonfinite_report_names_the_first_step_over_all_blocks(self):
+        # Block 2 (rows 2048-2999) turns non-finite at step 3 and block 0 at
+        # step 7: one group advances all blocks a step at a time, so the
+        # report names step 3 and a sample of block 2.
+        cfg = SimConfig(dim=20, n_samples=3000, seed=9, schedule=Constant(0.0),
+                        horizon_T=50.0, n_steps=30)
+        grid = time_grid(cfg)
+
+        def score(x, t):
+            drift = np.zeros_like(x)
+            if t == grid[3]:
+                drift[2048:] = np.inf
+            if t == grid[7]:
+                drift[:1024] = np.nan
+            return drift
+
+        with pytest.raises(NumericalError, match="step") as err:
+            integrate_backward(cfg, score, workers=1)
+        found = re.search(r"at step (\d+) .*sample (\d+)", str(err.value))
+        assert int(found.group(1)) == 3 and int(found.group(2)) >= 2048
 
     def test_step_halving_stability(self):
         # regression guard at fixed seeds: doubling the step count moves the
