@@ -33,8 +33,7 @@ from .joint_gaussian import (
 from .mixture_theory import (
     DistortionReport,
     MixtureTheoryParams,
-    _guided_mean_coeff,
-    _guided_variance,
+    _horizon_free,
     _report,
     _switch_root,
     assemble_trajectory,
@@ -44,7 +43,6 @@ from .mixture_theory import (
     sanity_schedule_speciation,
     speciation_time,
     zeta,
-    zeta_prime,
 )
 from .schedule import Constant, Linear, guidance_level
 from .simulator import (
@@ -376,8 +374,7 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
     """
 
     def switch(t: np.ndarray) -> np.ndarray:
-        a = _guided_mean_coeff(t, sigma2, w)
-        s2 = _guided_variance(t, sigma2, w)
+        a, s2 = _horizon_free(t, sigma2, w)
         return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
 
     return _report(_switch_root(switch), sigma2, w)
@@ -388,9 +385,8 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
 
     incomplete Beta vs polynomial antiderivatives and a dense-grid quadrature
     (1e-8); zeta vs a d=2000 Monte Carlo expectation over 1e5 centroids
-    (0.01); zeta_prime vs central differences (1e-6); ramped-schedule moments
-    vs a fine-step ODE integration (1e-4); exact scores vs finite-difference
-    gradients of the log-densities (1e-5)."""
+    (0.01); ramped-schedule moments vs a fine-step ODE integration (1e-4);
+    exact scores vs finite-difference gradients of the log-densities (1e-5)."""
     msgs = []
 
     # (a) incomplete Beta: polynomial antiderivative r^2/2 - 2 r^3/3 + r^4/4
@@ -438,17 +434,7 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
         return False, f"zeta vs MC oracle off by {worst:.4f} (> 0.01)"
     msgs.append(f"zeta MC {worst:.1e}")
 
-    # (c) zeta_prime vs central differences
-    worst = 0.0
-    for lam, q1, q2, s2, t in ((0.5, 1.2, 2.0, 0.5, 0.3), (2.0, 0.3, 1.1, 1.5, 0.0)):
-        h = 1e-5
-        fd = (zeta(t, lam + h, s2, q1, q2) - zeta(t, lam - h, s2, q1, q2)) / (2 * h)
-        worst = max(worst, abs(fd - zeta_prime(t, lam, s2, q1, q2)))
-    if worst > 1e-6:
-        return False, f"zeta_prime vs FD off by {worst:.2e}"
-    msgs.append(f"zeta' FD {worst:.1e}")
-
-    # (d) ramped-schedule moments vs fine-step ODE
+    # (c) ramped-schedule moments vs fine-step ODE
     worst = 0.0
     for sigma2, w0, omega, t in ((0.75, -0.5, 2.0, 0.0), (0.5, -0.25, 1.0, 0.7)):
         m = guided_moments_linear_schedule(t, sigma2, Linear(w0, omega))
@@ -458,7 +444,7 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
         return False, f"ramped moments vs ODE off by {worst:.2e}"
     msgs.append(f"ode {worst:.1e}")
 
-    # (e) scores vs finite differences
+    # (d) scores vs finite differences
     model = random_model(5, seed=2)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(5)

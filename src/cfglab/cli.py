@@ -217,7 +217,6 @@ def build_parser() -> _Parser:
     sm.add_argument("--n", type=int, required=True)
     sm.add_argument("--T", type=float, default=500.0)
     sm.add_argument("--steps", type=int, default=2000)
-    sm.add_argument("--grid", choices=["log_spaced", "uniform"], default="log_spaced")
     sm.add_argument("--checkpoints", default="0")
     sm.add_argument("--dump-samples", action="store_true")
     sm.add_argument("--normalize-target", action="store_true",
@@ -345,7 +344,6 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
         schedule=sched,
         horizon_T=ns.T,
         n_steps=ns.steps,
-        grid=ns.grid,
         checkpoints=checkpoints,
     )
     score = make_mixture_score_fn(inst, sched, softmax_dtype=np.float32 if M > 4096 else np.float64)

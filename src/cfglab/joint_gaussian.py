@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = [
     "JointGaussianModel",
     "lambda_coeff",
     "Lambda_coeff",
+    "lambda_formula",
+    "Lambda_formula",
     "lambda_coeff_linear",
     "Lambda_coeff_linear",
     "guided_moments",
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+
+# A time for the closed forms that take a float or a numpy array of them.
+FloatOrArray = Union[float, np.ndarray]
 
 # Rows per drift GEMM: the simulator's block, so tiles never straddle blocks.
 _TILE = 1024
@@ -91,35 +97,50 @@ def _check_sr_t(s: float, r: float, t: float) -> None:
         raise DomainError(f"need t >= 0, got t={t}")
 
 
+def lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
+    """((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r, unchecked
+    (``lambda_coeff`` checks), through expm1/log1p so s -> r stays exact.
+
+    A float t is evaluated with ``math`` (whose log1p/expm1 round differently
+    from numpy's), an array of times elementwise with numpy."""
+    xp = np if isinstance(t, np.ndarray) else math
+    return (r + t) * xp.expm1((w + 1.0) * xp.log1p((s - r) / (r + t))) / (s - r)
+
+
+def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
+    """((s+t)^(1+2w)/(r+t)^(2w) - (r+t)) / ((2w+1)(s-r)) for s != r, unchecked
+    (``Lambda_coeff`` checks); t as in ``lambda_formula``."""
+    xp = np if isinstance(t, np.ndarray) else math
+    k = 2.0 * w + 1.0
+    return (r + t) * xp.expm1(k * xp.log1p((s - r) / (r + t))) / (k * (s - r))
+
+
 def lambda_coeff(s: float, r: float, w: float, t: float) -> float:
     """Mean amplification factor at time t under constant guidance w.
 
-    Equals ((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r and 1+w at s = r,
-    evaluated through expm1/log1p so the s -> r limit stays exact; w = 0
-    returns exactly 1 and w >= 0 implies lambda >= 1.
+    ``lambda_formula`` for s != r and 1+w at s = r; w = 0 returns 1 to
+    rounding and w >= 0 implies lambda >= 1.
     """
     _check_sr_t(s, r, t)
     if w <= -0.5:
         raise DomainError(f"constant guidance requires w > -1/2, got {w}")
     if s == r:
         return 1.0 + w
-    z = (s - r) / (r + t)
-    return (r + t) * math.expm1((w + 1.0) * math.log1p(z)) / (s - r)
+    return lambda_formula(s, r, w, t)
 
 
 def Lambda_coeff(s: float, r: float, w: float, t: float) -> float:
     """Variance contraction factor at time t under constant guidance w.
 
-    Equals ((s+t)^(1+2w)/(r+t)^(2w) - (r+t)) / ((2w+1)(s-r)) for s != r and 1
-    at s = r; w = 0 returns exactly 1 and w >= 0 implies Lambda <= 1.
+    ``Lambda_formula`` for s != r and 1 at s = r; w = 0 returns 1 to rounding
+    and w >= 0 implies Lambda <= 1.
     """
     _check_sr_t(s, r, t)
     if w <= -0.5:
         raise DomainError(f"constant guidance requires w > -1/2, got {w}")
     if s == r:
         return 1.0
-    z = (s - r) / (r + t)
-    return (r + t) * math.expm1((2.0 * w + 1.0) * math.log1p(z)) / ((2.0 * w + 1.0) * (s - r))
+    return Lambda_formula(s, r, w, t)
 
 
 def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:

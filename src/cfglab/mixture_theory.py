@@ -20,7 +20,11 @@ conditional phase; distortion at sampling time t=0 is summarised by
     delta_sigma2  = (var(0) - sigma^2) / sigma^2   (relative variance change)
 
 By isotropy the d-dimensional moments reduce to a scalar pair
-(mean_coeff a(t), variance s^2(t)) with mean(t) = a(t) * c1.
+(mean_coeff a(t), variance s^2(t)) with mean(t) = a(t) * c1.  Both phases
+are one linear moment dynamics: the guided phase is the joint-Gaussian
+eigendirection at (s, r) = (sigma^2, sigma^2 + 1), so a(t) = lambda(t) and
+s^2(t) = (sigma^2 + t) Lambda(t) from ``joint_gaussian``, and the
+conditional phase is the same dynamics at w = 0, seeded at t_s.
 
 Conventions fixed by exactly solvable limits (see the test suite):
 * zeta_t is evaluated on the mean path, q1 = (a-1)^2, q2 = a^2 with
@@ -43,12 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
+from .joint_gaussian import (
+    FloatOrArray, Lambda_coeff_linear, Lambda_formula, lambda_coeff_linear, lambda_formula)
 from .schedule import Constant, GuidanceSchedule, Linear
 from .special_math import bisection_root
 
@@ -59,7 +64,6 @@ __all__ = [
     "GuidedMoments",
     "DistortionReport",
     "zeta",
-    "zeta_prime",
     "zeta_typical",
     "typical_overlaps",
     "speciation_time",
@@ -77,10 +81,6 @@ CONDITIONAL = "conditional"
 
 # The switch-time scan brackets a sign change on a log grid before refining.
 _SCAN_GRID = np.geomspace(1e-6, 1e8, 400)
-
-# The closed forms below take a time (or any other argument) as a float or as
-# a numpy array of them, and return the same kind.
-FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class DistortionReport:
 
 
 # ---------------------------------------------------------------------------
-# Overlap cumulant generating function and its derivative
+# Overlap cumulant generating function
 # ---------------------------------------------------------------------------
 
 
@@ -154,17 +154,9 @@ def zeta(
     )
 
 
-def zeta_prime(t: float, lam: float, sigma2: float, q1: float, q2: float) -> float:
-    """d zeta / d lam at fixed (q1, q2)."""
-    g = sigma2 + t
-    if g <= 0 or g + lam <= 0:
-        raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got g={g}, lam={lam}")
-    return q1 / (2.0 * g) - 0.5 / (g + lam) - g * q2 / (2.0 * (g + lam) ** 2)
-
-
 def typical_overlaps(t: FloatOrArray, sigma2: float, w: float) -> tuple[FloatOrArray, FloatOrArray]:
     """(q1, q2) on the mean guided path: q1 = (a-1)^2, q2 = a^2, |c1|^2/d = 1."""
-    a = _guided_mean_coeff(t, sigma2, w)
+    a = lambda_formula(sigma2, sigma2 + 1.0, w, t)
     return (a - 1.0) ** 2, a * a
 
 
@@ -233,18 +225,11 @@ def _switch_root(f: Callable[[np.ndarray], np.ndarray]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _guided_mean_coeff(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
-    # a(t) = g^(1+w) h^-w [ (1 + 1/g)^(1+w) - 1 ],  g = sigma2+t, h = g+1
-    g = sigma2 + t
-    ell = np.log1p(1.0 / g)
-    return g * np.exp(-w * ell) * np.expm1((1.0 + w) * ell)
-
-
-def _guided_variance(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
-    # s^2(t) = g^(2w+2) h^-2w [ (1 + 1/g)^(2w+1) - 1 ] / (2w+1)
-    g = sigma2 + t
-    ell = np.log1p(1.0 / g)
-    return g * g * np.exp(-2.0 * w * ell) * np.expm1((2.0 * w + 1.0) * ell) / (2.0 * w + 1.0)
+def _horizon_free(t: FloatOrArray, sigma2: float, w: float) -> tuple[FloatOrArray, FloatOrArray]:
+    """Guided-phase (mean_coeff, variance) from the infinite horizon: lambda
+    and (sigma2 + t) * Lambda at (s, r) = (sigma2, sigma2 + 1), unchecked."""
+    r = sigma2 + 1.0
+    return lambda_formula(sigma2, r, w, t), (sigma2 + t) * Lambda_formula(sigma2, r, w, t)
 
 
 def guided_phase_moments(
@@ -254,46 +239,30 @@ def guided_phase_moments(
     w: float,
     init: Optional[GuidedMoments] = None,
 ) -> GuidedMoments:
-    """Closed-form moments in the guided phase for constant guidance w.
+    """Closed-form moments in the guided phase for constant guidance w > -1/2.
 
-    With T = math.inf the horizon terms drop and ``init`` is ignored (the
-    noise prior is forgotten); with a finite horizon the trajectory is seeded
-    by ``init`` at time T.
+    With T = math.inf ``init`` is ignored (the noise prior is forgotten).
+    With a finite horizon the trajectory is seeded by ``init`` at time T: the
+    dynamics are linear, so the gap between ``init`` and the T = inf moments
+    at T decays by D = (g_t/g_T)^(1+w) ((g_T+1)/(g_t+1))^w (D^2 for the
+    variance) on its way to t.
     """
     if t < 0 or t > T:
         raise DomainError(f"need 0 <= t <= T, got t={t}, T={T}")
+    if w <= -0.5:
+        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
+    a_t, v_t = _horizon_free(t, sigma2, w)
     if math.isinf(T):
-        if w <= -0.5:
-            raise DomainError(f"horizon -> inf requires w > -1/2, got {w}")
-        return GuidedMoments(
-            t=t,
-            mean_coeff=float(_guided_mean_coeff(t, sigma2, w)),
-            variance=float(_guided_variance(t, sigma2, w)),
-            phase=GUIDED,
-        )
+        return GuidedMoments(t=t, mean_coeff=a_t, variance=v_t, phase=GUIDED)
     if init is None:
         raise DomainError("finite horizon integration requires an init state")
+    a_T, v_T = _horizon_free(T, sigma2, w)
     g_t, g_T = sigma2 + t, sigma2 + T
-    ell_t, ell_T = math.log1p(1.0 / g_t), math.log1p(1.0 / g_T)
-    decay = (g_t / g_T) ** (1.0 + w) * math.exp(w * (ell_T - ell_t))
-    drive = (
-        g_t
-        * math.exp(-w * ell_t + (1.0 + w) * ell_T)
-        * math.expm1((1.0 + w) * (ell_t - ell_T))
-    )
-    noise = (
-        g_t
-        * g_t
-        * math.exp(-2.0 * w * ell_t + (2.0 * w + 1.0) * ell_T)
-        * math.expm1((2.0 * w + 1.0) * (ell_t - ell_T))
-        / (2.0 * w + 1.0)
-        if w != -0.5
-        else g_t * g_t * math.exp(-2.0 * w * ell_t) * (ell_t - ell_T)
-    )
+    decay = (g_t / g_T) ** (1.0 + w) * ((g_T + 1.0) / (g_t + 1.0)) ** w
     return GuidedMoments(
         t=t,
-        mean_coeff=decay * init.mean_coeff + drive,
-        variance=decay * decay * init.variance + noise,
+        mean_coeff=a_t + decay * (init.mean_coeff - a_T),
+        variance=v_t + decay * decay * (init.variance - v_T),
         phase=GUIDED,
     )
 
@@ -303,20 +272,15 @@ def conditional_phase_moments(
 ) -> GuidedMoments:
     """Closed-form moments in the conditional phase, seeded at t_start.
 
-    a(t) = (g_t/g_s) a(t_start) + (t_start - t)/g_s ;
+    The finite-horizon guided propagator at w = 0 from ``init`` at t_start:
+    a(t) = (g_t/g_s) a(t_start) + (t_start - t)/g_s and
     s^2(t) = (g_t/g_s)^2 s^2(t_start) + (t_start - t) g_t/g_s.
     The exact conditional marginal (a = 1, s^2 = sigma2 + t) is a fixed point.
     """
     if t > t_start:
         raise DomainError(f"need t <= t_start, got t={t}, t_start={t_start}")
-    g_t, g_s = sigma2 + t, sigma2 + t_start
-    ratio = g_t / g_s
-    return GuidedMoments(
-        t=t,
-        mean_coeff=ratio * init.mean_coeff + (t_start - t) / g_s,
-        variance=ratio * ratio * init.variance + (t_start - t) * ratio,
-        phase=CONDITIONAL,
-    )
+    m = guided_phase_moments(t, t_start, sigma2, 0.0, init)
+    return GuidedMoments(t=t, mean_coeff=m.mean_coeff, variance=m.variance, phase=CONDITIONAL)
 
 
 def _moments_at(t: float, t_s: Optional[float], sigma2: float, w: float) -> GuidedMoments:
@@ -382,11 +346,10 @@ def guided_moments_linear_schedule(t: float, sigma2: float, sched: Linear) -> Gu
 
     The guided-phase drift coincides with the jointly-Gaussian case at
     eigenvalue pair (s, r) = (sigma2, sigma2 + 1), so the incomplete-Beta
-    machinery is reused with that pair; valid in the guided-only regime
-    (class density large enough that no phase switch occurs).
+    machinery is reused with that pair (omega = 0 gives the constant-w
+    moments); valid in the guided-only regime (class density large enough
+    that no phase switch occurs).
     """
-    if sched.omega == 0.0:
-        return guided_phase_moments(t, math.inf, sigma2, sched.w0)
     a = lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
     big = Lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
     return GuidedMoments(t=t, mean_coeff=a, variance=(sigma2 + t) * big, phase=GUIDED)

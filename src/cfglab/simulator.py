@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ _TAG_CENTROIDS = 3
 _TAG_BOOTSTRAP = 4
 
 _CENTROID_BUDGET = 10**8
+_N_BOOTSTRAP = 200
 _MODE_COUNT_CAP = 5 * 10**4
 
 
@@ -69,7 +71,6 @@ class SimConfig:
     schedule: GuidanceSchedule
     horizon_T: float = 500.0
     n_steps: int = 2000
-    grid: str = "log_spaced"
     checkpoints: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
@@ -81,8 +82,6 @@ class SimConfig:
             raise DomainError("horizon_T must be positive")
         if self.n_steps < 10:
             raise DomainError("n_steps must be >= 10")
-        if self.grid not in ("log_spaced", "uniform"):
-            raise DomainError(f"grid must be log_spaced or uniform, got {self.grid!r}")
         cps = tuple(sorted(set(float(c) for c in self.checkpoints), reverse=True))
         if not cps:
             raise DomainError("need at least one checkpoint")
@@ -93,29 +92,22 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class MixtureInstance:
-    """Concrete sampled mixture: centroid rows, the conditioning row, sigma^2."""
+    """Concrete sampled mixture: centroid rows (row 0 conditions), sigma^2."""
 
     centroids: np.ndarray  # (M, d)
-    target_index: int
     sigma2: float
 
     def __post_init__(self) -> None:
         c = np.asarray(self.centroids, dtype=float)
         if c.ndim != 2 or c.shape[0] < 1:
             raise DomainError("centroids must be a non-empty (M, d) matrix")
-        if not (0 <= self.target_index < c.shape[0]):
-            raise DomainError("target_index out of range")
         if not (self.sigma2 > 0):
             raise DomainError("sigma2 must be positive")
         object.__setattr__(self, "centroids", c)
 
     @property
-    def n_modes(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
     def target(self) -> np.ndarray:
-        return self.centroids[self.target_index]
+        return self.centroids[0]
 
 
 @dataclass(frozen=True)
@@ -189,7 +181,7 @@ def sample_centroids(
     c = _philox(seed, _TAG_CENTROIDS).standard_normal((M, d))
     if normalize_target:
         c[0] *= math.sqrt(d) / np.linalg.norm(c[0])
-    return MixtureInstance(centroids=c, target_index=0, sigma2=sigma2)
+    return MixtureInstance(centroids=c, sigma2=sigma2)
 
 
 def make_mixture_score_fn(
@@ -221,7 +213,7 @@ def make_mixture_score_fn(
     values = np.empty((M, d + 1), dtype=softmax_dtype)
     values[:, :d] = C
     values[:, d] = 1.0
-    c1 = C[inst.target_index]
+    c1 = inst.target
     sigma2 = inst.sigma2
 
     def score(x: np.ndarray, t: float) -> np.ndarray:
@@ -255,18 +247,15 @@ def make_mixture_score_fn(
 def time_grid(config: SimConfig, grid_offset: float = 0.0) -> np.ndarray:
     """Descending times from horizon_T to 0 with checkpoints spliced in.
 
-    log_spaced places steps geometrically in (grid_offset + t) so the step
-    size shrinks where the dynamics stiffens near t = 0; pass the per-mode
+    Steps are placed geometrically in (grid_offset + t) so the step size
+    shrinks where the dynamics stiffens near t = 0; pass the per-mode
     variance (or the smallest conditional eigenvalue) as the offset.
     """
     if grid_offset < 0:
         raise DomainError("grid_offset must be >= 0")
     T, n = config.horizon_T, config.n_steps
-    if config.grid == "uniform":
-        ts = np.linspace(T, 0.0, n + 1)
-    else:
-        off = max(grid_offset, 1e-6 * T)
-        ts = np.geomspace(off + T, off, n + 1) - off
+    off = max(grid_offset, 1e-6 * T)
+    ts = np.geomspace(off + T, off, n + 1) - off
     ts[0], ts[-1] = T, 0.0
     merged = np.unique(np.concatenate([ts, np.asarray(config.checkpoints, dtype=float)]))
     return merged[::-1].copy()
@@ -340,8 +329,9 @@ def integrate_backward(
     not depend on the grouping.  OpenBLAS runs on one thread for the whole
     call, so it does not depend on the BLAS thread count either.
     Raises NumericalError naming the first step at which a state leaves
-    float range and a sample that left it (from the first failing group in
-    block order).
+    float range and a sample that left it.  A group that raises stops the
+    others before their next step; of the groups that raised by then, the
+    first in block order has its error reported.
     """
     grid = time_grid(config, grid_offset)
     n, d = config.n_samples, config.dim
@@ -357,6 +347,7 @@ def integrate_backward(
     # Contiguous groups whose sizes differ by at most one block.
     size, extra = divmod(n_blocks, n_groups)
     edges = [g * size + min(g, extra) for g in range(n_groups + 1)]
+    failed = threading.Event()
 
     def run_group(first: int, last: int) -> None:
         lo, hi = first * _BLOCK, min(last * _BLOCK, n)
@@ -370,23 +361,29 @@ def integrate_backward(
             block += mean0
         if grid[0] in wanted:
             out[grid[0]][lo:hi] = rows
-        for k in range(len(grid) - 1):
-            t, t_next = grid[k], grid[k + 1]
-            dt = t - t_next
-            rows += score_fn(rows, t) * dt
-            sqrt_dt = math.sqrt(dt)
-            for b, block in blocks:
-                z = noise[:len(block)]
-                _rekey(rng, config.seed, _TAG_STEP, k * n_blocks + b).standard_normal(out=z)
-                z *= sqrt_dt
-                block += z
-            if not np.isfinite(rows).all():
-                bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
-                raise NumericalError(
-                    f"non-finite state at step {k} (t={t_next:.6g}), sample {lo + bad}"
-                )
-            if t_next in wanted:
-                out[t_next][lo:hi] = rows
+        try:
+            for k in range(len(grid) - 1):
+                if failed.is_set():
+                    return
+                t, t_next = grid[k], grid[k + 1]
+                dt = t - t_next
+                rows += score_fn(rows, t) * dt
+                sqrt_dt = math.sqrt(dt)
+                for b, block in blocks:
+                    z = noise[:len(block)]
+                    _rekey(rng, config.seed, _TAG_STEP, k * n_blocks + b).standard_normal(out=z)
+                    z *= sqrt_dt
+                    block += z
+                if not np.isfinite(rows).all():
+                    bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
+                    raise NumericalError(
+                        f"non-finite state at step {k} (t={t_next:.6g}), sample {lo + bad}"
+                    )
+                if t_next in wanted:
+                    out[t_next][lo:hi] = rows
+        except BaseException:
+            failed.set()  # the other groups stop before their next step
+            raise
 
     # Threads start on submit, so a lone group starts none.
     with _blas_on_one_thread(), ThreadPoolExecutor(max_workers=max(n_groups - 1, 1)) as pool:
@@ -402,7 +399,6 @@ def measure_distortion(
     c1: np.ndarray,
     sigma2: float,
     seed: int = 0,
-    n_bootstrap: int = 200,
 ) -> EmpiricalDistortion:
     """Empirical distortion pair with bootstrap standard errors.
 
@@ -424,8 +420,8 @@ def measure_distortion(
 
     dmu, dsig = estimates(X)
     rng = _philox(seed, _TAG_BOOTSTRAP)
-    boots = np.empty((n_bootstrap, 2))
-    for k in range(n_bootstrap):
+    boots = np.empty((_N_BOOTSTRAP, 2))
+    for k in range(_N_BOOTSTRAP):
         idx = rng.integers(0, n, n)
         boots[k] = estimates(X[idx])
     se = boots.std(axis=0, ddof=1)

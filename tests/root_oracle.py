@@ -5,7 +5,9 @@ switch condition on the 400-point log grid, then multisection in log t.
 This module keeps the scalar path that the array path replaced -- the
 guided-phase closed forms and zeta written with ``math``, a point-by-point
 descending sign scan and plain bisection -- so the tests can check the
-array path against an independent one.
+array path against an independent one.  It also keeps the conditional-phase
+closed form, which the library now evaluates as the guided propagator at
+w = 0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ def variance(t: float, sigma2: float, w: float) -> float:
     g = sigma2 + t
     ell = math.log1p(1.0 / g)
     return g * g * math.exp(-2.0 * w * ell) * math.expm1((2.0 * w + 1.0) * ell) / (2.0 * w + 1.0)
+
+
+def conditional_moments(
+    t: float, t_start: float, sigma2: float, a0: float, v0: float
+) -> tuple[float, float]:
+    """Conditional-phase (mean_coeff, variance) at t, seeded with (a0, v0) at t_start."""
+    g_t, g_s = sigma2 + t, sigma2 + t_start
+    ratio = g_t / g_s
+    return ratio * a0 + (t_start - t) / g_s, ratio * ratio * v0 + (t_start - t) * ratio
 
 
 def zeta(t: float, lam: float, sigma2: float, q1: float, q2: float) -> float:

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import root_oracle
-from cfglab.acceptance import _sample_path_oracle
+from cfglab.acceptance import _linear_moment_ode_oracle, _sample_path_oracle
 from cfglab.errors import DomainError
 from cfglab.mixture_theory import (
     CONDITIONAL,
     GUIDED,
     GuidedMoments,
     MixtureTheoryParams,
-    _guided_mean_coeff,
-    _guided_variance,
+    _horizon_free,
     assemble_trajectory,
     conditional_phase_moments,
     delta_estimators_constant,
@@ -25,7 +24,6 @@ from cfglab.mixture_theory import (
     speciation_time,
     typical_overlaps,
     zeta,
-    zeta_prime,
     zeta_typical,
 )
 from cfglab.schedule import Constant, Linear
@@ -64,23 +62,6 @@ class TestZeta:
 
         oracle = (lam * q1 * d / (2.0 * g) + sum(factor(xi) for xi in x)) / d
         assert zeta(t, lam, sigma2, q1, q2) == pytest.approx(oracle, abs=1e-9)
-
-
-class TestZetaPrime:
-    @pytest.mark.parametrize(
-        "lam,q1,q2,sigma2,t",
-        [(0.5, 1.2, 2.0, 0.5, 0.3), (2.0, 0.3, 1.1, 1.5, 0.0), (0.05, 0.0, 0.0, 1.0, 0.0)],
-    )
-    def test_matches_finite_differences(self, lam, q1, q2, sigma2, t):
-        h = 1e-6
-        fd = (zeta(t, lam + h, sigma2, q1, q2) - zeta(t, lam - h, sigma2, q1, q2)) / (2 * h)
-        assert zeta_prime(t, lam, sigma2, q1, q2) == pytest.approx(fd, abs=1e-6)
-
-    def test_large_tilt_asymptote_without_origin_mass(self):
-        # q2 = 0: derivative tends to q1 / (2 (sigma2 + t))
-        q1, sigma2, t = 1.7, 0.5, 0.5
-        val = zeta_prime(t, 1e8, sigma2, q1, 0.0)
-        assert val == pytest.approx(q1 / (2.0 * (sigma2 + t)), rel=1e-6)
 
 
 class TestZetaTypical:
@@ -178,8 +159,8 @@ class TestArrayClosedForms:
     @pytest.mark.parametrize(
         "name,form",
         [
-            ("mean_coeff", lambda t, w: _guided_mean_coeff(t, 0.5, w)),
-            ("variance", lambda t, w: _guided_variance(t, 0.5, w)),
+            ("mean_coeff", lambda t, w: _horizon_free(t, 0.5, w)[0]),
+            ("variance", lambda t, w: _horizon_free(t, 0.5, w)[1]),
             ("q1", lambda t, w: typical_overlaps(t, 0.5, w)[0]),
             ("q2", lambda t, w: typical_overlaps(t, 0.5, w)[1]),
             ("zeta_typical", lambda t, w: zeta_typical(t, 0.5, w)),
@@ -191,6 +172,17 @@ class TestArrayClosedForms:
         one_by_one = np.array([form(float(t), w) for t in _ARRAY_TIMES])
         assert on_array.shape == _ARRAY_TIMES.shape
         np.testing.assert_allclose(on_array, one_by_one, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("sigma2", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("w", [-0.4, 0.0, 1.0, 3.0])
+    def test_guided_forms_match_scalar_oracle(self, sigma2, w):
+        # root_oracle writes a(t) and s^2(t) in g = sigma2 + t and log1p(1/g),
+        # independently of the joint-Gaussian lambda and Lambda
+        a, v = _horizon_free(_ARRAY_TIMES, sigma2, w)
+        oracle_a = [root_oracle.mean_coeff(float(t), sigma2, w) for t in _ARRAY_TIMES]
+        oracle_v = [root_oracle.variance(float(t), sigma2, w) for t in _ARRAY_TIMES]
+        np.testing.assert_allclose(a, oracle_a, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(v, oracle_v, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("k", [0, 137, 399])
     @pytest.mark.parametrize("lam", [1.0, -0.2])
@@ -256,6 +248,16 @@ class TestGuidedPhaseMoments:
         assert finite.mean_coeff == pytest.approx(limit.mean_coeff, abs=1e-4)
         assert finite.variance == pytest.approx(limit.variance, abs=1e-4)
 
+    @pytest.mark.parametrize("w", [-0.3, 0.0, 1.0, 2.5])
+    def test_finite_horizon_matches_moment_ode(self, w):
+        # RK4 on the guided-phase moment ODEs from (a, v) = (0, T) at T = 10
+        sigma2, T, t = 0.5, 10.0, 0.3
+        a, v = _linear_moment_ode_oracle(sigma2, Linear(w, 0.0), t, horizon=T, n_steps=4000)
+        init = GuidedMoments(t=T, mean_coeff=0.0, variance=T, phase=GUIDED)
+        m = guided_phase_moments(t, T, sigma2, w, init=init)
+        assert m.mean_coeff == pytest.approx(a, rel=1e-9)
+        assert m.variance == pytest.approx(v, rel=1e-9)
+
     def test_large_time_behaviour(self):
         # mean coefficient saturates at 1+w; variance grows like t
         for w in (0.0, 1.5):
@@ -264,10 +266,13 @@ class TestGuidedPhaseMoments:
             assert m.variance / 1e6 == pytest.approx(1.0, rel=1e-4)
 
     def test_domain_checks(self):
+        init = GuidedMoments(t=1.0, mean_coeff=0.0, variance=1.0, phase=GUIDED)
         with pytest.raises(DomainError):
             guided_phase_moments(2.0, 1.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             guided_phase_moments(0.0, math.inf, 0.5, -0.5)
+        with pytest.raises(DomainError):
+            guided_phase_moments(0.0, 1.0, 0.5, -0.5, init=init)
 
 
 class TestConditionalPhaseMoments:
@@ -295,6 +300,18 @@ class TestConditionalPhaseMoments:
         out = conditional_phase_moments(0.0, t_start, sigma2, init)
         assert out.mean_coeff == pytest.approx(a, abs=1e-3)
         assert out.variance == pytest.approx(v, abs=1e-3)
+
+    @pytest.mark.parametrize("t_start", [1e-6, 0.3, 1.7, 1e3, 1e8])
+    @pytest.mark.parametrize("sigma2", [0.05, 0.5, 2.0])
+    def test_matches_scalar_oracle(self, t_start, sigma2):
+        a0, v0 = 1.3, 0.7 * (sigma2 + t_start)
+        init = GuidedMoments(t=t_start, mean_coeff=a0, variance=v0, phase=GUIDED)
+        for t in t_start * np.linspace(0.0, 1.0, 41):
+            out = conditional_phase_moments(float(t), t_start, sigma2, init)
+            a, v = root_oracle.conditional_moments(float(t), t_start, sigma2, a0, v0)
+            assert out.phase == CONDITIONAL
+            assert out.mean_coeff == pytest.approx(a, rel=1e-13, abs=0.0)
+            assert out.variance == pytest.approx(v, rel=1e-13, abs=0.0)
 
     def test_rejects_future_time(self):
         init = GuidedMoments(t=1.0, mean_coeff=1.0, variance=1.0, phase=GUIDED)

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestSampleCentroids:
 
     def test_single_mode(self):
         inst = sample_centroids(2, 1, seed=0)
-        assert inst.n_modes == 1 and np.isfinite(inst.target).all()
+        assert inst.centroids.shape == (1, 2) and np.isfinite(inst.target).all()
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
@@ -126,7 +127,7 @@ class TestMixtureScore:
         def log_target(z):
             le = -((z - inst.centroids) ** 2).sum(axis=1) / (2.0 * g)
             mix = float(le.max() + np.log(np.exp(le - le.max()).sum()))
-            return (1.0 + w) * float(le[inst.target_index]) - w * mix
+            return (1.0 + w) * float(le[0]) - w * mix
 
         h = 1e-5
         for dtype in SOFTMAX_DTYPES:
@@ -315,6 +316,36 @@ class TestIntegrateBackward:
             integrate_backward(cfg, score, workers=1)
         found = re.search(r"at step (\d+) .*sample (\d+)", str(err.value))
         assert int(found.group(1)) == 3 and int(found.group(2)) >= 2048
+
+    def test_failing_group_stops_the_others(self):
+        # Three groups on more threads than cores, interleaved by a short
+        # switch interval: the calling thread's turns non-finite at step 3,
+        # and the pool threads must stop within a few steps (or before their
+        # first) instead of running all 2000 before the error surfaces.
+        cfg = SimConfig(dim=9, n_samples=3 * 1024, seed=0, schedule=Constant(0.0),
+                        horizon_T=50.0, n_steps=2000)
+        grid = time_grid(cfg)
+        caller = threading.get_ident()
+        calls = {}
+
+        def score(x, t):
+            me = threading.get_ident()
+            calls[me] = calls.get(me, 0) + 1
+            drift = np.zeros_like(x)
+            if me == caller and t == grid[3]:
+                drift[:] = np.inf
+            return drift
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pytest.raises(NumericalError, match="at step 3 "):
+                integrate_backward(cfg, score, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+        pool_calls = sum(n for thread, n in calls.items() if thread != caller)
+        assert calls[caller] == 4
+        assert pool_calls < cfg.n_steps // 10
 
     def test_step_halving_stability(self):
         # regression guard at fixed seeds: doubling the step count moves the
