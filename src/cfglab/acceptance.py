@@ -4,9 +4,7 @@ and the ``cfglab validate`` subcommand.
 Each criterion asserts the numerical tolerances stated in its docstring and
 reports its runtime next to the stated budget (budgets are targets measured
 on a desk-class machine; they are reported, not asserted, since wall time is
-hardware-dependent).  ``quick=True`` cuts Monte Carlo sample counts fourfold
-and doubles the flat tolerances accordingly (standard-error scaling
-sqrt(n_full/n_quick) = 2); bootstrap-based tolerances adapt automatically.
+hardware-dependent).
 """
 
 from __future__ import annotations
@@ -67,22 +65,7 @@ class CriterionResult:
     budget_s: float
 
 
-def _joint_sim_moments(model, w: float, n: int, seed: int, n_steps: int):
-    config = SimConfig(
-        dim=model.dim, n_samples=n, seed=seed, schedule=Constant(w),
-        horizon_T=500.0, n_steps=n_steps,
-    )
-    samples = integrate_backward(
-        config,
-        lambda x, t: guided_score_batch(model, Constant(w), x, t),
-        grid_offset=float(np.min(model.s)),
-        init_mean=model.mu,
-        workers=os.cpu_count() or 1,
-    )[0.0]
-    return samples
-
-
-def criterion_1_zero_guidance(quick: bool = False) -> tuple[bool, str]:
+def criterion_1_zero_guidance() -> tuple[bool, str]:
     """w = 0 leaves the conditional target untouched.
 
     100 random (sigma2, beta, t) tuples: |delta_mu|, |delta_sigma2| < 1e-9;
@@ -114,7 +97,7 @@ def criterion_1_zero_guidance(quick: bool = False) -> tuple[bool, str]:
     return True, f"max |delta| {worst:.1e}, max |coeff-1| {worst_j:.1e}"
 
 
-def criterion_2_expansion_contraction(quick: bool = False) -> tuple[bool, str]:
+def criterion_2_expansion_contraction() -> tuple[bool, str]:
     """lambda >= 1 - 1e-12 and Lambda <= 1 + 1e-12 on 1e4 random tuples
     with 0 < s <= r, w in [0, 10], t in [0, 10]."""
     rng = np.random.default_rng(12)
@@ -133,7 +116,7 @@ def criterion_2_expansion_contraction(quick: bool = False) -> tuple[bool, str]:
     return ok, f"min lambda {min_lam:.15f}, max Lambda {max_big:.15f}"
 
 
-def criterion_3_mixture_vs_sim(quick: bool = False) -> tuple[bool, str]:
+def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
     """Theory vs simulation for the mixture at sigma2=0.5, beta=0.5.
 
     w in {0, 0.5, 1}, d in {10, 15, 20} (M = round(exp(beta*d))), n = 5000.
@@ -153,9 +136,7 @@ def criterion_3_mixture_vs_sim(quick: bool = False) -> tuple[bool, str]:
     detail reports the gap to both references for every (d, w), the
     mean-path one second.
     """
-    sigma2, beta, seed = 0.5, 0.5, 7
-    n = 1250 if quick else 5000
-    flat_tol = 0.10 if quick else 0.05
+    sigma2, beta, seed, n = 0.5, 0.5, 7, 5000
     ws, ds = (0.0, 0.5, 1.0), (10, 15, 20)
     refs = {}
     for w in ws:
@@ -189,7 +170,7 @@ def criterion_3_mixture_vs_sim(quick: bool = False) -> tuple[bool, str]:
             for k, name in enumerate(("mu", "sig2")):
                 part = f"{name} gap {gap[k]:.4f}/{abs(est[k] - mean_ref[k]):.4f}"
                 if d == ds[-1]:
-                    tol = max(flat_tol, 3.0 * se[k])
+                    tol = max(0.05, 3.0 * se[k])
                     tol_ok = tol_ok and gap[k] <= tol
                     part += f" (tol {tol:.4f})"
                 parts.append(part)
@@ -210,7 +191,7 @@ def criterion_3_mixture_vs_sim(quick: bool = False) -> tuple[bool, str]:
     )
 
 
-def criterion_4_joint_vs_sim(quick: bool = False) -> tuple[bool, str]:
+def criterion_4_joint_vs_sim() -> tuple[bool, str]:
     """Joint-Gaussian simulation reproduces the closed-form moments.
 
     d2 = 9 random model, w in {0, 1, 2}, n = 2e4: mean within 3 SE per
@@ -218,15 +199,19 @@ def criterion_4_joint_vs_sim(quick: bool = False) -> tuple[bool, str]:
     increasing in w and the Frobenius-norm ratio strictly decreasing.  The
     simulations spread their sample blocks over every core.
     """
-    n = 5000 if quick else 20000
-    var_tol = 0.10 if quick else 0.05
+    n, var_tol = 20000, 0.05
     model = random_model(9, seed=0)
     mean_ratios, frob_ratios = [], []
     frob_cond = float(np.linalg.norm(covariance_matrix(model, model.s)))
     worst_z, worst_var = 0.0, 0.0
     for w in (0.0, 1.0, 2.0):
-        samples = _joint_sim_moments(model, w, n, seed=3, n_steps=2000)
-        mean_th, cov_eigs = guided_moments(model, Constant(w), 0.0)
+        sched = Constant(w)
+        config = SimConfig(dim=model.dim, n_samples=n, seed=3, schedule=sched,
+                           horizon_T=500.0, n_steps=2000)
+        samples = integrate_backward(config, lambda x, t: guided_score_batch(model, sched, x, t),
+                                     grid_offset=float(np.min(model.s)), init_mean=model.mu,
+                                     workers=os.cpu_count() or 1)[0.0]
+        mean_th, cov_eigs = guided_moments(model, sched, 0.0)
         mean_sim = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / math.sqrt(n)
         worst_z = max(worst_z, float(np.max(np.abs(mean_sim - mean_th) / se)))
@@ -247,7 +232,7 @@ def criterion_4_joint_vs_sim(quick: bool = False) -> tuple[bool, str]:
     )
 
 
-def criterion_5_speciation_asymptote(quick: bool = False) -> tuple[bool, str]:
+def criterion_5_speciation_asymptote() -> tuple[bool, str]:
     """Switch-time divergence at vanishing class density.
 
     sigma2 = 0.5, beta = 1e-3, w in {0, 1, 3}: t_s * beta / (1+w) in
@@ -262,7 +247,7 @@ def criterion_5_speciation_asymptote(quick: bool = False) -> tuple[bool, str]:
     return ok, f"ratios {[f'{r:.4f}' for r in ratios]}"
 
 
-def criterion_6_sanity_schedule(quick: bool = False) -> tuple[bool, str]:
+def criterion_6_sanity_schedule() -> tuple[bool, str]:
     """Solvable ramp w0 = sigma2 - 1, omega = 1 through the numerical path.
 
     delta_mu(0) = sigma2 and delta_sigma2(0) = (1 - 2*sigma2)/3 to 1e-6 for
@@ -285,13 +270,12 @@ def criterion_6_sanity_schedule(quick: bool = False) -> tuple[bool, str]:
     return True, f"max benchmark error {worst:.2e}, t_s = {t_s:.6f}"
 
 
-def criterion_7_schedule_phase_diagram(quick: bool = False) -> tuple[bool, str]:
+def criterion_7_schedule_phase_diagram() -> tuple[bool, str]:
     """40x40 ramp-schedule diagram at sigma2 = 0.75 (guided-only path).
 
     Every separability_and_diversity cell has w0 < 0; every cell with
     w(t) >= 0 for all t (i.e. w0 >= 0) has delta_sigma2 < 0."""
-    n_pts = 20 if quick else 40
-    grid = GridSpec(AxisSpec("w0", -1.0, 1.0, n_pts), AxisSpec("omega", 5.0 / n_pts, 5.0, n_pts))
+    grid = GridSpec(AxisSpec("w0", -1.0, 1.0, 40), AxisSpec("omega", 0.125, 5.0, 40))
     rows = sweep_schedule_phase_diagram(0.75, grid)
     bad_beneficial = [
         r for r in rows if r.region_label == "separability_and_diversity" and r.axis1_value >= 0
@@ -380,7 +364,7 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
     return _report(_switch_root(switch), sigma2, w)
 
 
-def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
+def criterion_8_oracle_suite() -> tuple[bool, str]:
     """Independent-oracle equivalence checks.
 
     incomplete Beta vs polynomial antiderivatives and a dense-grid quadrature
@@ -418,7 +402,6 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
 
     # (b) zeta vs Monte Carlo expectation (weak tilt, concentrating regime)
     d = 2000
-    n_cent = 25000 if quick else 100000
     rng = np.random.default_rng(5)
     worst = 0.0
     for lam, a_loc, s_loc, g in ((0.02, 1.3, 0.8, 1.5), (0.04, 0.7, 1.1, 2.5)):
@@ -428,7 +411,7 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
         q1 = float((x - c1) @ (x - c1)) / d
         q2 = float(x @ x) / d
         th = zeta(0.0, lam, g, q1, q2)  # here g plays sigma2+t directly
-        mc = _zeta_mc_oracle(x, c1, lam, g, n_cent, seed=17)
+        mc = _zeta_mc_oracle(x, c1, lam, g, 100000, seed=17)
         worst = max(worst, abs(th - mc))
     if worst > 0.01:
         return False, f"zeta vs MC oracle off by {worst:.4f} (> 0.01)"
@@ -495,7 +478,7 @@ def criterion_8_oracle_suite(quick: bool = False) -> tuple[bool, str]:
     return True, ", ".join(msgs)
 
 
-def criterion_9_determinism(quick: bool = False) -> tuple[bool, str]:
+def criterion_9_determinism() -> tuple[bool, str]:
     """``simulate mixture`` and ``simulate joint`` each write byte-identical
     CSVs across runs and worker counts; the CLI's stdout is kept out of
     ``validate``'s."""
@@ -526,7 +509,7 @@ def criterion_9_determinism(quick: bool = False) -> tuple[bool, str]:
     return True, "mixture and joint byte-identical across repeats and worker counts {1, 4}"
 
 
-_CRITERIA: list[tuple[int, str, float, Callable[[bool], tuple[bool, str]]]] = [
+_CRITERIA: list[tuple[int, str, float, Callable[[], tuple[bool, str]]]] = [
     (1, "zero_guidance_identity", 1.0, criterion_1_zero_guidance),
     (2, "expansion_contraction_law", 5.0, criterion_2_expansion_contraction),
     (3, "mixture_theory_vs_simulation", 180.0, criterion_3_mixture_vs_sim),
@@ -539,14 +522,14 @@ _CRITERIA: list[tuple[int, str, float, Callable[[bool], tuple[bool, str]]]] = [
 ]
 
 
-def run_criteria(numbers: Optional[list[int]] = None, quick: bool = False) -> list[CriterionResult]:
+def run_criteria(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     results = []
     for number, name, budget, fn in _CRITERIA:
         if numbers is not None and number not in numbers:
             continue
         started = time.perf_counter()
         try:
-            passed, detail = fn(quick)
+            passed, detail = fn()
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         runtime = time.perf_counter() - started

@@ -3,7 +3,7 @@
 Subcommands: theory {mixture|joint}, simulate {mixture|joint},
 sweep {beta-w|sigma-w|schedule|joint-schedule}, validate.
 
-Global flags: --seed, --workers, --out-dir, --emit-plot, --quick, --config.
+Global flags: --seed, --workers, --out-dir, --emit-plot, --config.
 --workers sets the number of threads over which ``simulate`` spreads its
 sample blocks, the only parallel axis (BLAS runs on one thread inside it);
 the other commands ignore it and leave it out of their manifests.
@@ -41,9 +41,9 @@ from .joint_gaussian import (
 )
 from .mixture_theory import (
     MixtureTheoryParams,
+    _absolute_deltas,
+    _relative_deltas,
     assemble_trajectory,
-    delta_estimators_constant,
-    delta_estimators_linear,
     guided_moments_linear_schedule,
 )
 from .schedule import Constant, GuidanceSchedule, Linear
@@ -180,7 +180,6 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--workers", type=int, **({"default": None} if top else d))
     p.add_argument("--out-dir", dest="out_dir", **({"default": None} if top else d))
     p.add_argument("--emit-plot", dest="emit_plot", action="store_true", **({} if top else d))
-    p.add_argument("--quick", action="store_true", **({} if top else d))
     p.add_argument("--config", help="JSON file with flag defaults",
                    **({"default": None} if top else d))
 
@@ -291,19 +290,13 @@ def _resolved_params(ns: argparse.Namespace) -> dict:
 def _theory_rows_mixture(ns: argparse.Namespace) -> list[list[object]]:
     sched = _schedule_from(ns)
     times = sorted(_parse_times(ns.t))
-    rows: list[list[object]] = []
     if isinstance(sched, Constant):
-        params = MixtureTheoryParams(ns.sigma2, ns.beta, sched)
-        moments, report = assemble_trajectory(params, times)
-        for m in moments:
-            dm, dv = delta_estimators_constant(m.t, ns.sigma2, sched.w, report.t_speciation)
-            rows.append([m.t, m.mean_coeff, m.variance, dm, dv, m.phase])
+        moments, _ = assemble_trajectory(MixtureTheoryParams(ns.sigma2, ns.beta, sched), times)
+        deltas = _relative_deltas
     else:
-        for t in times:
-            m = guided_moments_linear_schedule(t, ns.sigma2, sched)
-            dm, dv = delta_estimators_linear(t, ns.sigma2, sched)
-            rows.append([t, m.mean_coeff, m.variance, dm, dv, m.phase])
-    return rows
+        moments = [guided_moments_linear_schedule(t, ns.sigma2, sched) for t in times]
+        deltas = _absolute_deltas
+    return [[m.t, m.mean_coeff, m.variance, *deltas(m, ns.sigma2), m.phase] for m in moments]
 
 
 def _theory_rows_joint(ns: argparse.Namespace) -> list[list[object]]:
@@ -332,14 +325,13 @@ def _cmd_theory(ns: argparse.Namespace) -> list[str]:
 def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
     sched = _schedule_from(ns)
     checkpoints = tuple(_parse_times(ns.checkpoints))
-    n = max(2, ns.n // 4) if ns.quick else ns.n
     M = mode_count(ns.beta, ns.d)
     inst = sample_centroids(
         ns.d, M, ns.seed, sigma2=ns.sigma2, normalize_target=ns.normalize_target
     )
     config = SimConfig(
         dim=ns.d,
-        n_samples=n,
+        n_samples=ns.n,
         seed=ns.seed,
         schedule=sched,
         horizon_T=ns.T,
@@ -366,10 +358,9 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
 
 def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
     sched = _schedule_from(ns)
-    n = max(2, ns.n // 4) if ns.quick else ns.n
     model = random_model(ns.d2, ns.model_seed)
     config = SimConfig(
-        dim=ns.d2, n_samples=n, seed=ns.seed, schedule=sched,
+        dim=ns.d2, n_samples=ns.n, seed=ns.seed, schedule=sched,
         horizon_T=ns.T, n_steps=ns.steps,
     )
     samples = integrate_backward(
@@ -382,7 +373,7 @@ def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
     mean_th, cov_eigs = guided_moments(model, sched, 0.0)
     y = samples @ model.basis
     mean_sim = model.basis @ y.mean(axis=0)
-    mean_se = samples.std(axis=0, ddof=1) / math.sqrt(n)
+    mean_se = samples.std(axis=0, ddof=1) / math.sqrt(ns.n)
     var_sim = y.var(axis=0, ddof=1)
     rows = [
         [i, mean_th[i], mean_sim[i], mean_se[i], cov_eigs[i], var_sim[i]]
@@ -436,7 +427,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
     numbers = None
     if ns.criteria:
         numbers = [int(tok) for tok in ns.criteria.split(",")]
-    results = run_criteria(numbers=numbers, quick=ns.quick)
+    results = run_criteria(numbers=numbers)
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -149,6 +149,11 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     Written as incomplete Beta integrals over u = (s+t')/(r+t'); the two-term
     combination is rearranged so both terms stay O(1) as omega -> 0 (the raw
     coefficients individually diverge like 1/omega there).
+
+    For every omega > 0 and w0 this equals P = (r+t)/(r-s), which solves the
+    mean ODE for any w(t) and is outgrown by its homogeneous solutions
+    h = (s+t)^(1+w0-omega s) (r+t)^(omega r-w0); from lambda(T) at a finite
+    horizon T the coefficient is P(t) + (lambda(T) - P(T)) h(t)/h(T).
     """
     _check_sr_t(s, r, t)
     w0, omega = sched.w0, sched.omega
@@ -222,7 +227,7 @@ def covariance_matrix(model: JointGaussianModel, cov_eigenvalues: np.ndarray) ->
 
 
 def exact_scores(
-    model: JointGaussianModel, x: np.ndarray, t: float, mu: np.ndarray | None = None
+    model: JointGaussianModel, x: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional and unconditional scores at x, time t (diagonal solves).
 
@@ -231,11 +236,9 @@ def exact_scores(
     """
     if t < 0.0:
         raise DomainError(f"need t >= 0, got t={t}")
-    if mu is None:
-        mu = model.mu
     x = np.asarray(x, dtype=float)
     y = model.basis.T @ x
-    m = model.basis.T @ np.asarray(mu, dtype=float)
+    m = model.basis.T @ model.mu
     cond = model.basis @ (-(y - m) / (model.s + t))
     uncond = model.basis @ (-y / (model.r + t))
     return cond, uncond

@@ -323,6 +323,11 @@ def assemble_trajectory(
     return trajectory, _report(t_s, params.sigma2, w)
 
 
+def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
+    """(delta_mu, delta_sigma2) of m, delta_sigma2 relative to sigma^2 + t."""
+    return m.mean_coeff - 1.0, (m.variance - (sigma2 + m.t)) / (sigma2 + m.t)
+
+
 def delta_estimators_constant(
     t: float, sigma2: float, w: float, t_s: Optional[float]
 ) -> tuple[float, float]:
@@ -332,8 +337,7 @@ def delta_estimators_constant(
     conditional branch seeded at t_s below it; delta_sigma2 is relative to
     the conditional variance sigma^2 + t.
     """
-    m = _moments_at(t, t_s, sigma2, w)
-    return m.mean_coeff - 1.0, (m.variance - (sigma2 + t)) / (sigma2 + t)
+    return _relative_deltas(_moments_at(t, t_s, sigma2, w), sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +359,11 @@ def guided_moments_linear_schedule(t: float, sigma2: float, sched: Linear) -> Gu
     return GuidedMoments(t=t, mean_coeff=a, variance=(sigma2 + t) * big, phase=GUIDED)
 
 
+def _absolute_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
+    """(delta_mu, delta_sigma2) of m, delta_sigma2 = s^2(t) - (sigma^2 + t)."""
+    return m.mean_coeff - 1.0, m.variance - (sigma2 + m.t)
+
+
 def delta_estimators_linear(t: float, sigma2: float, sched: Linear) -> tuple[float, float]:
     """Distortion pair at time t under a linear schedule (guided-only regime).
 
@@ -363,8 +372,7 @@ def delta_estimators_linear(t: float, sigma2: float, sched: Linear) -> tuple[flo
     linear-ramp benchmark pins the pair (delta_mu, delta_sigma2)(0) to
     (sigma2, (1-2*sigma2)/3), which fixes this normalisation.
     """
-    m = guided_moments_linear_schedule(t, sigma2, sched)
-    return m.mean_coeff - 1.0, m.variance - (sigma2 + t)
+    return _absolute_deltas(guided_moments_linear_schedule(t, sigma2, sched), sigma2)
 
 
 def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:

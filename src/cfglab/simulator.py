@@ -324,10 +324,11 @@ def integrate_backward(
     first and a pool of the remaining threads the others.  A group advances
     all of its rows one step at a time: one ``score_fn`` call on the group's
     rows, then each block's noise drawn from its own (step, block) stream.
-    ``score_fn`` must compute every row independently of the rest of its call
-    (as both targets' drifts do, over block-aligned tiles), so the output does
-    not depend on the grouping.  OpenBLAS runs on one thread for the whole
-    call, so it does not depend on the BLAS thread count either.
+    ``score_fn`` must return a fresh array, which is scaled in place, and
+    compute every row independently of the rest of its call (as both targets'
+    drifts do, over block-aligned tiles), so the output does not depend on the
+    grouping.  OpenBLAS runs on one thread for the whole call, so it does not
+    depend on the BLAS thread count either.
     Raises NumericalError naming the first step at which a state leaves
     float range and a sample that left it.  A group that raises stops the
     others before their next step; of the groups that raised by then, the
@@ -367,7 +368,9 @@ def integrate_backward(
                     return
                 t, t_next = grid[k], grid[k + 1]
                 dt = t - t_next
-                rows += score_fn(rows, t) * dt
+                drift = score_fn(rows, t)
+                rows += np.multiply(drift, dt, out=drift)
+                del drift  # not held through the next score call
                 sqrt_dt = math.sqrt(dt)
                 for b, block in blocks:
                     z = noise[:len(block)]

@@ -220,6 +220,13 @@ _SECTIONS = 256
 _SECTION_FRACTIONS = np.linspace(0.0, 1.0, _SECTIONS + 1)
 
 
+def _sections(lo: float, hi: float, tol: float) -> np.ndarray | None:
+    """One round's points lo..hi; None once [lo, hi] is within tol or at float resolution."""
+    xs = lo + (hi - lo) * _SECTION_FRACTIONS
+    xs[-1] = hi
+    return None if hi - lo <= tol or xs[1] <= lo or xs[-2] >= hi else xs
+
+
 def bisection_root(
     g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
 ) -> float:
@@ -229,13 +236,16 @@ def bisection_root(
     evaluates g on ``_SECTIONS + 1`` equispaced points of [lo, hi] and keeps
     the last sub-bracket where the sign changes, so among the roots the grid
     resolves the largest one is kept; with two sections this is plain
-    bisection.  A point where g is exactly zero is returned as it is.
+    bisection.  The first round's values at lo and hi also check the bracket.
+    A point where g is exactly zero is returned as it is.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    g_lo, g_hi = g(np.array([lo, hi]))
+    xs = _sections(lo, hi, tol)
+    values = g(np.array([lo, hi]) if xs is None else xs)
+    g_lo, g_hi = values[0], values[-1]
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
@@ -243,16 +253,14 @@ def bisection_root(
     if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
     sign_hi = 1.0 if g_hi > 0 else -1.0
-    while hi - lo > tol:
-        xs = lo + (hi - lo) * _SECTION_FRACTIONS
-        xs[-1] = hi
-        if xs[1] <= lo or xs[-2] >= hi:
-            break  # float resolution reached
-        signs = np.sign(g(xs))
+    while xs is not None:
+        signs = np.sign(values)
         signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known
         # Every point right of k has g(hi)'s sign: the last root lies in [x_k, x_k+1).
         k = int(np.flatnonzero(signs != sign_hi)[-1])
         if signs[k] == 0.0:
             return float(xs[k])
         lo, hi = float(xs[k]), float(xs[k + 1])
+        xs = _sections(lo, hi, tol)
+        values = None if xs is None else g(xs)
     return 0.5 * (lo + hi)

@@ -59,6 +59,29 @@ class TestTheoryCommand:
         assert float(rows[0][3]) == pytest.approx(0.25, abs=1e-8)
         assert float(rows[0][4]) == pytest.approx(1.0 / 6.0, abs=1e-8)
 
+    def test_mixture_rows_evaluate_their_moments_once(self, tmp_path, monkeypatch):
+        # Four rows: the constant path evaluates the moments once per row plus
+        # once at t = 0 for the distortion report, the ramped path once per row.
+        import cfglab.cli as cli
+        import cfglab.mixture_theory as mt
+
+        calls = []
+        for module, name in ((mt, "_moments_at"), (mt, "guided_moments_linear_schedule"),
+                             (cli, "guided_moments_linear_schedule")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for schedule, expected in ((["--w", "1"], ["_moments_at"] * 5),
+                                   (["--w0", "-0.75", "--omega", "1"],
+                                    ["guided_moments_linear_schedule"] * 4)):
+            calls.clear()
+            rc = main(["--out-dir", str(tmp_path), "theory", "mixture", "--sigma2", "0.5",
+                       "--beta", "0.5", *schedule, "--t", "0,0.5,1,2"])
+            assert rc == 0
+            assert calls == expected
+
 
 class TestManifests:
     def test_written_alongside_output(self, tmp_path):
@@ -206,6 +229,12 @@ class TestExitCodes:
             main(["theory", "mixture", "--sigma2", "0.5"])  # missing --beta
         assert exc.value.code == 1
 
+    def test_removed_quick_flag_is_a_usage_error(self, tmp_path):
+        for argv in (["validate", "--quick"], ["--quick", "validate"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["--out-dir", str(tmp_path), *argv, "--criteria", "5"])
+            assert exc.value.code == 1
+
     def test_numerical_failure_is_two(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "40",
                    "--beta", "0.5", "--sigma2", "0.5", "--w", "1", "--n", "100",
@@ -217,7 +246,7 @@ class TestExitCodes:
         import cfglab.acceptance as acc
 
         monkeypatch.setattr(
-            acc, "_CRITERIA", [(1, "stub_criterion", 1.0, lambda quick: (False, "hook"))]
+            acc, "_CRITERIA", [(1, "stub_criterion", 1.0, lambda: (False, "hook"))]
         )
         rc = main(["--out-dir", str(tmp_path), "validate", "--criteria", "1"])
         assert rc == 3

@@ -135,6 +135,18 @@ class TestLinearScheduleCoefficients:
         assert lambda_coeff_linear(0.6, 1.0, sched, 0.0) == pytest.approx(2.5, abs=1e-8)
         assert lambda_coeff_linear(0.6, 1.0, sched, 0.0) > 1.0
 
+    def test_mean_coefficient_is_the_schedule_free_particular_solution(self):
+        # (r+t)/(r-s) for every omega > 0 and w0 (``lambda_coeff_linear``'s
+        # docstring says why).  With r - s >= 0.1 and omega >= 0.01 the
+        # quadrature holds it to 1e-8; it loses accuracy as omega (r-s) -> 0.
+        rng = np.random.default_rng(23)
+        for _ in range(3000):
+            s = float(rng.uniform(0.01, 2.0))
+            r = s + float(rng.uniform(0.1, 2.0))
+            sched = Linear(float(rng.uniform(-1.0, 3.0)), float(rng.uniform(0.01, 5.0)))
+            t = float(rng.uniform(0.0, 5.0))
+            assert lambda_coeff_linear(s, r, sched, t) == pytest.approx((r + t) / (r - s), rel=1e-8)
+
     @pytest.mark.parametrize("omega", [0.2, 0.5, 1.0])
     def test_small_slope_expands_covariance(self, omega):
         # diversity gain: Lambda > 1 when the negative window is wide enough

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, exact scores, estimator behaviour."""
 
 import math
+import os
 import re
 import sys
 import threading
@@ -229,7 +230,7 @@ class TestIntegrateBackward:
         cfg = SimConfig(dim=d, n_samples=n, seed=7, schedule=Constant(0.0),
                         horizon_T=500.0, n_steps=2000)
         out = integrate_backward(cfg, make_mixture_score_fn(inst, Constant(0.0)),
-                                 grid_offset=0.5)[0.0]
+                                 grid_offset=0.5, workers=os.cpu_count() or 1)[0.0]
         se_mean = math.sqrt(0.5 / n)
         assert np.all(np.abs(out.mean(axis=0) - inst.target) < 4.0 * se_mean)
         var = float(out.var(axis=0, ddof=1).mean())

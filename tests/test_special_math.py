@@ -171,3 +171,22 @@ class TestBisectionRoot:
         root = lo + 0.3 * (hi - lo)
         g = lambda y: np.expm1(y - root) * (1.0 + np.exp(y))
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
+
+    def test_one_call_of_g_per_round(self):
+        # The first round's grid holds the bracket ends, so the switch
+        # bracket (0.0808 wide, tol 1e-13: five rounds of 256 sections)
+        # calls g five times, and a bracket already within tol once.
+        lo = math.log(1.5)
+        hi = lo + math.log(1e14) / 399
+        root = lo + 0.3 * (hi - lo)
+        sizes = []
+
+        def g(y):
+            sizes.append(len(y))
+            return np.expm1(y - root)
+
+        assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
+        assert sizes == [257] * 5
+        sizes.clear()
+        assert bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) == pytest.approx(root)
+        assert sizes == [2]
