@@ -52,7 +52,7 @@ from .simulator import (
     sample_centroids,
 )
 from .special_math import BetaArgs, incomplete_beta_definite
-from .sweeps import AxisSpec, GridSpec, sweep_schedule_phase_diagram
+from .sweeps import AxisSpec, sweep_schedule_phase_diagram
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,7 @@ def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
         for w in ws:
             inst = sample_centroids(d, M, seed, sigma2=sigma2, normalize_target=True)
             steps = 1000 if w == 0.0 else 200
-            config = SimConfig(dim=d, n_samples=n, seed=seed, schedule=Constant(w),
-                               horizon_T=500.0, n_steps=steps)
+            config = SimConfig(dim=d, n_samples=n, seed=seed, horizon_T=500.0, n_steps=steps)
             score = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)
             samples = integrate_backward(config, score, grid_offset=sigma2,
                                          workers=os.cpu_count() or 1)[0.0]
@@ -206,8 +205,7 @@ def criterion_4_joint_vs_sim() -> tuple[bool, str]:
     worst_z, worst_var = 0.0, 0.0
     for w in (0.0, 1.0, 2.0):
         sched = Constant(w)
-        config = SimConfig(dim=model.dim, n_samples=n, seed=3, schedule=sched,
-                           horizon_T=500.0, n_steps=2000)
+        config = SimConfig(dim=model.dim, n_samples=n, seed=3, horizon_T=500.0, n_steps=2000)
         samples = integrate_backward(config, lambda x, t: guided_score_batch(model, sched, x, t),
                                      grid_offset=float(np.min(model.s)), init_mean=model.mu,
                                      workers=os.cpu_count() or 1)[0.0]
@@ -275,8 +273,8 @@ def criterion_7_schedule_phase_diagram() -> tuple[bool, str]:
 
     Every separability_and_diversity cell has w0 < 0; every cell with
     w(t) >= 0 for all t (i.e. w0 >= 0) has delta_sigma2 < 0."""
-    grid = GridSpec(AxisSpec("w0", -1.0, 1.0, 40), AxisSpec("omega", 0.125, 5.0, 40))
-    rows = sweep_schedule_phase_diagram(0.75, grid)
+    w0, omega = AxisSpec("w0", -1.0, 1.0, 40), AxisSpec("omega", 0.125, 5.0, 40)
+    rows = sweep_schedule_phase_diagram(0.75, w0, omega)
     bad_beneficial = [
         r for r in rows if r.region_label == "separability_and_diversity" and r.axis1_value >= 0
     ]

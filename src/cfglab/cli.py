@@ -30,15 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CfgLabError, DomainError
-from .joint_gaussian import (
-    Lambda_coeff,
-    Lambda_coeff_linear,
-    guided_moments,
-    guided_score_batch,
-    lambda_coeff,
-    lambda_coeff_linear,
-    random_model,
-)
+from .joint_gaussian import coefficients, guided_moments, guided_score_batch, random_model
 from .mixture_theory import (
     MixtureTheoryParams,
     _absolute_deltas,
@@ -55,7 +47,7 @@ from .simulator import (
     mode_count,
     sample_centroids,
 )
-from .sweeps import AxisSpec, GridSpec, SweepRow, sweep_beta_w, sweep_schedule_phase_diagram, sweep_joint_gaussian_schedule, sweep_sigma_w
+from .sweeps import AxisSpec, SweepRow, sweep_beta_w, sweep_schedule_phase_diagram, sweep_joint_gaussian_schedule, sweep_sigma_w
 
 _USAGE_EXIT = 1
 _NUMERICAL_EXIT = 2
@@ -173,6 +165,29 @@ def _axis_from(ns: argparse.Namespace, name: str) -> AxisSpec:
     return AxisSpec(name, g("min"), g("max"), g("points"), g("scale"))
 
 
+def _config_file(path: str) -> dict:
+    """--config: the flag defaults in a JSON file holding one object."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
+    if not isinstance(config, dict):
+        raise argparse.ArgumentTypeError(f"{path!r} must hold a JSON object")
+    return config
+
+
+def _criteria(text: str) -> list[int]:
+    """--criteria: comma-separated numbers of known criteria."""
+    from .acceptance import _CRITERIA
+
+    known = [str(number) for number, *_ in _CRITERIA]
+    tokens = text.split(",")
+    if not set(tokens) <= set(known):
+        raise argparse.ArgumentTypeError(f"want numbers among {','.join(known)}, got {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
     # accepted both before and after the subcommand; the later position wins
     d = {} if top else {"default": argparse.SUPPRESS}
@@ -180,7 +195,7 @@ def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
     p.add_argument("--workers", type=int, **({"default": None} if top else d))
     p.add_argument("--out-dir", dest="out_dir", **({"default": None} if top else d))
     p.add_argument("--emit-plot", dest="emit_plot", action="store_true", **({} if top else d))
-    p.add_argument("--config", help="JSON file with flag defaults",
+    p.add_argument("--config", type=_config_file, help="JSON file with flag defaults",
                    **({"default": None} if top else d))
 
 
@@ -262,18 +277,13 @@ def build_parser() -> _Parser:
 
     val = sub.add_parser("validate", help="run the acceptance criteria")
     _add_global_flags(val, top=False)
-    val.add_argument("--criteria", default=None,
+    val.add_argument("--criteria", type=_criteria, default=None,
                      help="comma-separated criterion numbers (default: all)")
     return parser
 
 
 def _resolve_globals(ns: argparse.Namespace) -> None:
-    config = {}
-    if ns.config:
-        with open(ns.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise DomainError("config file must hold a JSON object")
+    config = ns.config or {}
     defaults = {"seed": 0, "workers": os.cpu_count() or 1, "out_dir": "."}
     for dest, builtin in defaults.items():
         if getattr(ns, dest) is None:
@@ -304,13 +314,8 @@ def _theory_rows_joint(ns: argparse.Namespace) -> list[list[object]]:
     times = sorted(_parse_times(ns.t))
     rows: list[list[object]] = []
     for t in times:
-        if isinstance(sched, Constant):
-            lam = lambda_coeff(ns.s, ns.r, sched.w, t)
-            big = Lambda_coeff(ns.s, ns.r, sched.w, t)
-        else:
-            lam = lambda_coeff_linear(ns.s, ns.r, sched, t)
-            big = Lambda_coeff_linear(ns.s, ns.r, sched, t)
-        rows.append([t, lam, big, lam - 1.0, big - 1.0, ""])
+        lam, big = coefficients(ns.s, ns.r, sched, t)
+        rows.append([t, lam, big * (ns.s + t), lam - 1.0, big - 1.0, ""])
     return rows
 
 
@@ -329,15 +334,8 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
     inst = sample_centroids(
         ns.d, M, ns.seed, sigma2=ns.sigma2, normalize_target=ns.normalize_target
     )
-    config = SimConfig(
-        dim=ns.d,
-        n_samples=ns.n,
-        seed=ns.seed,
-        schedule=sched,
-        horizon_T=ns.T,
-        n_steps=ns.steps,
-        checkpoints=checkpoints,
-    )
+    config = SimConfig(dim=ns.d, n_samples=ns.n, seed=ns.seed, horizon_T=ns.T, n_steps=ns.steps,
+                       checkpoints=checkpoints)
     score = make_mixture_score_fn(inst, sched, softmax_dtype=np.float32 if M > 4096 else np.float64)
     samples = integrate_backward(config, score, grid_offset=ns.sigma2, workers=ns.workers)
     rows = []
@@ -359,10 +357,7 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
 def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
     sched = _schedule_from(ns)
     model = random_model(ns.d2, ns.model_seed)
-    config = SimConfig(
-        dim=ns.d2, n_samples=ns.n, seed=ns.seed, schedule=sched,
-        horizon_T=ns.T, n_steps=ns.steps,
-    )
+    config = SimConfig(dim=ns.d2, n_samples=ns.n, seed=ns.seed, horizon_T=ns.T, n_steps=ns.steps)
     samples = integrate_backward(
         config,
         lambda x, t: guided_score_batch(model, sched, x, t),
@@ -396,22 +391,16 @@ def _sweep_rows_to_csv(rows: list[SweepRow], a1: str, a2: str) -> tuple[list[str
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
+    names = {"beta-w": ("beta", "w"), "sigma-w": ("sigma2", "w")}.get(ns.kind, ("w0", "omega"))
+    axes = [_axis_from(ns, name) for name in names]
     if ns.kind == "beta-w":
-        grid = GridSpec(_axis_from(ns, "beta"), _axis_from(ns, "w"))
-        rows = sweep_beta_w(ns.sigma2, grid)
-        names = ("beta", "w")
+        rows = sweep_beta_w(ns.sigma2, *axes)
     elif ns.kind == "sigma-w":
-        grid = GridSpec(_axis_from(ns, "sigma2"), _axis_from(ns, "w"))
-        rows = sweep_sigma_w(ns.beta, grid)
-        names = ("sigma2", "w")
+        rows = sweep_sigma_w(ns.beta, *axes)
     elif ns.kind == "schedule":
-        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"))
-        rows = sweep_schedule_phase_diagram(ns.sigma2, grid)
-        names = ("w0", "omega")
+        rows = sweep_schedule_phase_diagram(ns.sigma2, *axes)
     else:
-        grid = GridSpec(_axis_from(ns, "w0"), _axis_from(ns, "omega"))
-        rows = sweep_joint_gaussian_schedule(ns.r, ns.s, grid)
-        names = ("w0", "omega")
+        rows = sweep_joint_gaussian_schedule(ns.r, ns.s, *axes)
     out = os.path.join(ns.out_dir, ns.out)
     header, body = _sweep_rows_to_csv(rows, *names)
     _write_csv(out, header, body)
@@ -424,14 +413,11 @@ def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
 def _cmd_validate(ns: argparse.Namespace) -> int:
     from .acceptance import run_criteria
 
-    numbers = None
-    if ns.criteria:
-        numbers = [int(tok) for tok in ns.criteria.split(",")]
-    results = run_criteria(numbers=numbers)
+    results = run_criteria(numbers=ns.criteria)
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] criterion {r.number}: {r.name} ({r.runtime_s:.1f}s) {r.detail}")
+        print(f"[{status}] criterion {r.number}: {r.name} ({r.runtime_s:.1f}s, budget {r.budget_s:.0f}s) {r.detail}")
     print(f"{len(results) - len(failures)}/{len(results)} criteria passed")
     return 0 if not failures else _VALIDATION_EXIT
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
+from .simulator import _BLOCK
 from .special_math import BetaArgs, incomplete_beta_definite
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "Lambda_formula",
     "lambda_coeff_linear",
     "Lambda_coeff_linear",
+    "coefficients",
     "guided_moments",
     "exact_scores",
     "guided_score_batch",
@@ -52,9 +54,6 @@ _ORTHO_TOL = 1e-10
 
 # A time for the closed forms that take a float or a numpy array of them.
 FloatOrArray = Union[float, np.ndarray]
-
-# Rows per drift GEMM: the simulator's block, so tiles never straddle blocks.
-_TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -201,6 +200,13 @@ def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     return pref * integral
 
 
+def coefficients(s: float, r: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
+    """(lambda, Lambda) of the eigenvalue pair (s, r) at time t under sched."""
+    if isinstance(sched, Constant):
+        return lambda_coeff(s, r, sched.w, t), Lambda_coeff(s, r, sched.w, t)
+    return lambda_coeff_linear(s, r, sched, t), Lambda_coeff_linear(s, r, sched, t)
+
+
 def guided_moments(
     model: JointGaussianModel, sched: GuidanceSchedule, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,12 +215,7 @@ def guided_moments(
     mean = sum_i lambda_i(t) (v_i . mu) v_i ; covariance eigenvalue i equals
     Lambda_i(t) * (s_i + t).
     """
-    if isinstance(sched, Constant):
-        lam = np.array([lambda_coeff(si, ri, sched.w, t) for si, ri in zip(model.s, model.r)])
-        big = np.array([Lambda_coeff(si, ri, sched.w, t) for si, ri in zip(model.s, model.r)])
-    else:
-        lam = np.array([lambda_coeff_linear(si, ri, sched, t) for si, ri in zip(model.s, model.r)])
-        big = np.array([Lambda_coeff_linear(si, ri, sched, t) for si, ri in zip(model.s, model.r)])
+    lam, big = np.array([coefficients(si, ri, sched, t) for si, ri in zip(model.s, model.r)]).T
     m = model.basis.T @ model.mu
     mean = model.basis @ (lam * m)
     cov_eigenvalues = big * (model.s + t)
@@ -266,8 +267,8 @@ def guided_score_batch(
     a = (basis * (w / (model.r + t) - (1.0 + w) / (model.s + t))) @ basis.T
     b = basis @ ((1.0 + w) * (basis.T @ model.mu) / (model.s + t))
     drift = np.empty(np.shape(x))
-    for lo in range(0, len(x), _TILE):
-        np.matmul(x[lo:lo + _TILE], a, out=drift[lo:lo + _TILE])
+    for lo in range(0, len(x), _BLOCK):
+        np.matmul(x[lo:lo + _BLOCK], a, out=drift[lo:lo + _BLOCK])
     drift += b
     return drift
 

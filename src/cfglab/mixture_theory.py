@@ -116,17 +116,18 @@ class GuidedMoments:
 
 @dataclass(frozen=True)
 class DistortionReport:
-    """Distortion of the sampled law at t = 0, plus the phase bookkeeping.
+    """Distortion of the sampled law at t = 0 and the switch time behind it.
 
     ``t_speciation`` is None when the process never leaves the guided phase
     (no transition: distortion persists) and math.inf when the transition
     happens beyond any finite time (always conditional: zero distortion).
+    Switch times are positive, so the phase at t = 0 is guided exactly when
+    ``t_speciation`` is None.
     """
 
     delta_mu: float
     delta_sigma2: float
     t_speciation: Optional[float]
-    phase_at_zero: str
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +298,8 @@ def _moments_at(t: float, t_s: Optional[float], sigma2: float, w: float) -> Guid
 
 def _report(t_s: Optional[float], sigma2: float, w: float) -> DistortionReport:
     """Distortion at t = 0 of the piecewise trajectory switching at t_s."""
-    zero = _moments_at(0.0, t_s, sigma2, w)
-    return DistortionReport(
-        delta_mu=zero.mean_coeff - 1.0,
-        delta_sigma2=(zero.variance - sigma2) / sigma2,
-        t_speciation=t_s,
-        phase_at_zero=zero.phase,
-    )
+    delta_mu, delta_sigma2 = _relative_deltas(_moments_at(0.0, t_s, sigma2, w), sigma2)
+    return DistortionReport(delta_mu, delta_sigma2, t_s)
 
 
 def assemble_trajectory(

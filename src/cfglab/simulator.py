@@ -11,8 +11,8 @@ processed in fixed-size blocks; a contiguous run of blocks advances one step
 at a time, with one score call on all of its rows.  The scores compute every
 row independently of the rest of its call (their GEMMs run over tiles aligned
 with the blocks) and BLAS runs single-threaded, so outputs are bit-identical
-for a given ``SimConfig`` under any worker count, any grouping of the blocks
-and any BLAS thread count.
+for a given (``SimConfig``, score function) under any worker count, any
+grouping of the blocks and any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ _MODE_COUNT_CAP = 5 * 10**4
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run description; equal configs give identical outputs."""
+    """Monte Carlo run description; equal (config, score) pairs give identical outputs."""
 
     dim: int
     n_samples: int
     seed: int
-    schedule: GuidanceSchedule
     horizon_T: float = 500.0
     n_steps: int = 2000
     checkpoints: tuple[float, ...] = (0.0,)
@@ -326,9 +325,10 @@ def integrate_backward(
     rows, then each block's noise drawn from its own (step, block) stream.
     ``score_fn`` must return a fresh array, which is scaled in place, and
     compute every row independently of the rest of its call (as both targets'
-    drifts do, over block-aligned tiles), so the output does not depend on the
-    grouping.  OpenBLAS runs on one thread for the whole call, so it does not
-    depend on the BLAS thread count either.
+    drifts do, over block-aligned tiles), so the output is fixed by
+    (config, score_fn) and does not depend on the grouping.  OpenBLAS runs on
+    one thread for the whole call, so it does not depend on the BLAS thread
+    count either.
     Raises NumericalError naming the first step at which a state leaves
     float range and a sample that left it.  A group that raises stops the
     others before their next step; of the groups that raised by then, the

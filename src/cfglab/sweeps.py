@@ -1,10 +1,12 @@
 """Grid evaluation over control parameters: phase diagrams as tabular data.
 
-Each sweep walks a two-axis grid in row-major order (axis1 outer, axis2
-inner), evaluates the closed-form theory per cell, and classifies the cell by
-the signs of the distortion pair.  Cells where the theory evaluation fails
-numerically are emitted with an error flag instead of aborting the sweep
-(grid edges probe the validity limits of the formulas).
+Each sweep takes its two swept axes as the ``AxisSpec`` arguments
+``axis1, axis2`` after its fixed parameters, walks the grid in row-major
+order (axis1 outer, axis2 inner), evaluates the closed-form theory per cell,
+and classifies the cell by the signs of the distortion pair.  Cells where
+the theory evaluation fails numerically are emitted with an error flag
+instead of aborting the sweep (grid edges probe the validity limits of the
+formulas).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .schedule import Constant, Linear
 
 __all__ = [
     "AxisSpec",
-    "GridSpec",
     "SweepRow",
     "classify_region",
     "sweep_beta_w",
@@ -61,14 +62,6 @@ class AxisSpec:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """The two swept axes; the remaining parameters are sweep arguments."""
-
-    axis1: AxisSpec
-    axis2: AxisSpec
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One grid cell: axis values, switch time, distortion pair, region."""
 
@@ -97,11 +90,13 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
     return "variance_shrink"
 
 
-def _run_grid(grid: GridSpec, cell: Callable[[float, float], SweepRow]) -> list[SweepRow]:
+def _run_grid(
+    axis1: AxisSpec, axis2: AxisSpec, cell: Callable[[float, float], SweepRow]
+) -> list[SweepRow]:
     """Evaluate every cell in row-major order; a failed cell becomes an error row."""
     rows = []
-    for a in grid.axis1.values().tolist():
-        for b in grid.axis2.values().tolist():
+    for a in axis1.values().tolist():
+        for b in axis2.values().tolist():
             try:
                 rows.append(cell(a, b))
             except CfgLabError as exc:
@@ -122,21 +117,23 @@ def _constant_guidance_row(axis1: float, w: float, sigma2: float, beta: float) -
     )
 
 
-def sweep_beta_w(sigma2: float, grid: GridSpec) -> list[SweepRow]:
+def sweep_beta_w(sigma2: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
-    return _run_grid(grid, lambda beta, w: _constant_guidance_row(beta, w, sigma2, beta))
+    return _run_grid(axis1, axis2, lambda beta, w: _constant_guidance_row(beta, w, sigma2, beta))
 
 
-def sweep_sigma_w(beta: float, grid: GridSpec) -> list[SweepRow]:
+def sweep_sigma_w(beta: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (sigma2, w) at fixed beta."""
     if beta < 0:
         raise DomainError("beta must be >= 0")
-    return _run_grid(grid, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
+    return _run_grid(axis1, axis2, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
 
 
-def sweep_schedule_phase_diagram(sigma2: float, grid: GridSpec) -> list[SweepRow]:
+def sweep_schedule_phase_diagram(
+    sigma2: float, axis1: AxisSpec, axis2: AxisSpec
+) -> list[SweepRow]:
     """t=0 distortion over (w0, omega) for the ramped schedule, guided-only path.
 
     Valid in the regime where the class density is large enough that the
@@ -151,10 +148,12 @@ def sweep_schedule_phase_diagram(sigma2: float, grid: GridSpec) -> list[SweepRow
         dm, dv = delta_estimators_linear(0.0, sigma2, Linear(w0, omega))
         return SweepRow(w0, omega, None, dm, dv, classify_region(dm, dv))
 
-    return _run_grid(grid, cell)
+    return _run_grid(axis1, axis2, cell)
 
 
-def sweep_joint_gaussian_schedule(r: float, s: float, grid: GridSpec) -> list[SweepRow]:
+def sweep_joint_gaussian_schedule(
+    r: float, s: float, axis1: AxisSpec, axis2: AxisSpec
+) -> list[SweepRow]:
     """lambda(0) and Lambda(0) over (w0, omega) for one eigenvalue pair.
 
     The delta columns hold lambda-1 and Lambda-1, so the shared sign
@@ -170,4 +169,4 @@ def sweep_joint_gaussian_schedule(r: float, s: float, grid: GridSpec) -> list[Sw
         big = Lambda_coeff_linear(s, r, sched, 0.0)
         return SweepRow(w0, omega, None, lam - 1.0, big - 1.0, classify_region(lam - 1.0, big - 1.0))
 
-    return _run_grid(grid, cell)
+    return _run_grid(axis1, axis2, cell)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -48,7 +49,9 @@ class TestTheoryCommand:
         assert rc == 0
         _, rows = _rows(tmp_path / "j.csv")
         assert float(rows[0][1]) == pytest.approx(1.6, abs=1e-9)
-        assert float(rows[0][2]) == pytest.approx(0.653333, abs=1e-6)
+        # the variance Lambda * (s + t), with Lambda = 0.653333 and s + t = 0.6
+        assert float(rows[0][2]) == pytest.approx(0.392, abs=1e-6)
+        assert float(rows[0][4]) == pytest.approx(0.653333 - 1.0, abs=1e-6)
 
     def test_ramped_schedule_path(self, tmp_path):
         rc = main(["--out-dir", str(tmp_path), "theory", "mixture", "--sigma2", "0.25",
@@ -252,6 +255,27 @@ class TestExitCodes:
         assert rc == 3
         assert "FAIL] criterion 1: stub_criterion" in capsys.readouterr().out
 
-    def test_validate_passing_subset_is_zero(self, tmp_path):
+    def test_validate_passing_subset_is_zero(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "validate", "--criteria", "1,5"])
         assert rc == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\] criterion 1: zero_guidance_identity \(\d+\.\ds, budget 1s\) ", out)
+
+    @pytest.mark.parametrize("criteria", ["99", "1,99", "x"])
+    def test_bad_criteria_are_a_usage_error(self, tmp_path, capsys, criteria):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "validate", "--criteria", criteria])
+        assert exc.value.code == 1
+        assert "error: argument --criteria" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "not_an_object"])
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "--out-dir", str(tmp_path), "theory", "joint",
+                  "--r", "1", "--s", "0.6", "--w", "1"])
+        assert exc.value.code == 1
+        assert "error: argument --config" in capsys.readouterr().err.splitlines()[-1]

@@ -386,10 +386,11 @@ class TestAssembleTrajectory:
                 assert np.all(f > 0.0), (beta, w, t)
 
     def test_report_phase_bookkeeping(self):
-        _, rep = assemble_trajectory(MixtureTheoryParams(0.5, 1.2, Constant(1.0)), [0.0])
-        assert rep.t_speciation is None and rep.phase_at_zero == GUIDED
-        _, rep = assemble_trajectory(MixtureTheoryParams(0.5, 0.3, Constant(1.0)), [0.0])
-        assert rep.t_speciation > 0 and rep.phase_at_zero == CONDITIONAL
+        # the phase at t = 0 is guided exactly when there is no switch time
+        moments, rep = assemble_trajectory(MixtureTheoryParams(0.5, 1.2, Constant(1.0)), [0.0])
+        assert rep.t_speciation is None and moments[0].phase == GUIDED
+        moments, rep = assemble_trajectory(MixtureTheoryParams(0.5, 0.3, Constant(1.0)), [0.0])
+        assert rep.t_speciation > 0 and moments[0].phase == CONDITIONAL
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):

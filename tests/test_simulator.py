@@ -190,34 +190,32 @@ class TestMixtureScore:
 
 class TestTimeGrid:
     def test_endpoints_and_order(self):
-        cfg = SimConfig(dim=1, n_samples=2, seed=0, schedule=Constant(0.0),
-                        horizon_T=100.0, n_steps=50)
+        cfg = SimConfig(dim=1, n_samples=2, seed=0, horizon_T=100.0, n_steps=50)
         g = time_grid(cfg, grid_offset=0.5)
         assert g[0] == 100.0 and g[-1] == 0.0
         assert np.all(np.diff(g) < 0)
 
     def test_checkpoints_spliced_exactly(self):
-        cfg = SimConfig(dim=1, n_samples=2, seed=0, schedule=Constant(0.0),
-                        horizon_T=100.0, n_steps=50, checkpoints=(0.0, 0.123, 7.0))
+        cfg = SimConfig(dim=1, n_samples=2, seed=0, horizon_T=100.0, n_steps=50,
+                        checkpoints=(0.0, 0.123, 7.0))
         g = time_grid(cfg, grid_offset=0.5)
         for c in (0.0, 0.123, 7.0):
             assert c in g
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            SimConfig(dim=0, n_samples=2, seed=0, schedule=Constant(0.0))
+            SimConfig(dim=0, n_samples=2, seed=0)
         with pytest.raises(DomainError):
-            SimConfig(dim=1, n_samples=2, seed=0, schedule=Constant(0.0), n_steps=5)
+            SimConfig(dim=1, n_samples=2, seed=0, n_steps=5)
         with pytest.raises(DomainError):
-            SimConfig(dim=1, n_samples=2, seed=0, schedule=Constant(0.0),
-                      checkpoints=(700.0,))
+            SimConfig(dim=1, n_samples=2, seed=0, checkpoints=(700.0,))
 
 
 class TestIntegrateBackward:
     def test_pure_diffusion_increments(self):
         # zero score: x_0 - x_T is a Brownian increment of variance T
-        cfg = SimConfig(dim=8, n_samples=4000, seed=11, schedule=Constant(0.0),
-                        horizon_T=1.0, n_steps=10, checkpoints=(0.0, 1.0))
+        cfg = SimConfig(dim=8, n_samples=4000, seed=11, horizon_T=1.0, n_steps=10,
+                        checkpoints=(0.0, 1.0))
         out = integrate_backward(cfg, lambda x, t: np.zeros_like(x))
         inc = out[0.0] - out[1.0]
         var = float(inc.var(axis=0, ddof=1).mean())
@@ -227,8 +225,7 @@ class TestIntegrateBackward:
         # w = 0, M = 1, d = 100: exact conditional sampler at t = 0
         d, n = 100, 4000
         inst = sample_centroids(d, 1, seed=7, sigma2=0.5)
-        cfg = SimConfig(dim=d, n_samples=n, seed=7, schedule=Constant(0.0),
-                        horizon_T=500.0, n_steps=2000)
+        cfg = SimConfig(dim=d, n_samples=n, seed=7, horizon_T=500.0, n_steps=2000)
         out = integrate_backward(cfg, make_mixture_score_fn(inst, Constant(0.0)),
                                  grid_offset=0.5, workers=os.cpu_count() or 1)[0.0]
         se_mean = math.sqrt(0.5 / n)
@@ -238,8 +235,7 @@ class TestIntegrateBackward:
 
     def test_deterministic_across_worker_counts(self):
         inst = sample_centroids(5, 9, seed=3, sigma2=0.5)
-        cfg = SimConfig(dim=5, n_samples=2500, seed=3, schedule=Constant(0.7),
-                        horizon_T=50.0, n_steps=40)
+        cfg = SimConfig(dim=5, n_samples=2500, seed=3, horizon_T=50.0, n_steps=40)
         fn = make_mixture_score_fn(inst, Constant(0.7))
         a = integrate_backward(cfg, fn, grid_offset=0.5, workers=1)[0.0]
         b = integrate_backward(cfg, fn, grid_offset=0.5, workers=3)[0.0]
@@ -254,8 +250,7 @@ class TestIntegrateBackward:
         get_threads, set_threads = controls
         d, M = 20, 3000
         inst = sample_centroids(d, M, seed=5, sigma2=0.5)
-        cfg = SimConfig(dim=d, n_samples=1024, seed=5, schedule=Constant(1.0),
-                        horizon_T=50.0, n_steps=10)
+        cfg = SimConfig(dim=d, n_samples=1024, seed=5, horizon_T=50.0, n_steps=10)
         fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=np.float32)
         original = get_threads()
         runs = []
@@ -270,8 +265,7 @@ class TestIntegrateBackward:
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_nonfinite_state_reported(self):
-        cfg = SimConfig(dim=2, n_samples=8, seed=0, schedule=Constant(0.0),
-                        horizon_T=1.0, n_steps=10)
+        cfg = SimConfig(dim=2, n_samples=8, seed=0, horizon_T=1.0, n_steps=10)
         with pytest.raises(NumericalError, match="step"):
             integrate_backward(cfg, lambda x, t: np.full_like(x, np.inf))
 
@@ -282,8 +276,8 @@ class TestIntegrateBackward:
         # one state array; a short switch interval interleaves their threads.
         model = random_model(20, seed=1)
         sched = Constant(2.0)
-        cfg = SimConfig(dim=20, n_samples=3000, seed=9, schedule=sched,
-                        horizon_T=50.0, n_steps=30, checkpoints=(0.0, 1.0))
+        cfg = SimConfig(dim=20, n_samples=3000, seed=9, horizon_T=50.0, n_steps=30,
+                        checkpoints=(0.0, 1.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -301,8 +295,7 @@ class TestIntegrateBackward:
         # Block 2 (rows 2048-2999) turns non-finite at step 3 and block 0 at
         # step 7: one group advances all blocks a step at a time, so the
         # report names step 3 and a sample of block 2.
-        cfg = SimConfig(dim=20, n_samples=3000, seed=9, schedule=Constant(0.0),
-                        horizon_T=50.0, n_steps=30)
+        cfg = SimConfig(dim=20, n_samples=3000, seed=9, horizon_T=50.0, n_steps=30)
         grid = time_grid(cfg)
 
         def score(x, t):
@@ -323,8 +316,7 @@ class TestIntegrateBackward:
         # switch interval: the calling thread's turns non-finite at step 3,
         # and the pool threads must stop within a few steps (or before their
         # first) instead of running all 2000 before the error surfaces.
-        cfg = SimConfig(dim=9, n_samples=3 * 1024, seed=0, schedule=Constant(0.0),
-                        horizon_T=50.0, n_steps=2000)
+        cfg = SimConfig(dim=9, n_samples=3 * 1024, seed=0, horizon_T=50.0, n_steps=2000)
         grid = time_grid(cfg)
         caller = threading.get_ident()
         calls = {}
@@ -355,8 +347,7 @@ class TestIntegrateBackward:
         inst = sample_centroids(d, M, seed=13, sigma2=0.5)
         est = []
         for steps in (300, 600):
-            cfg = SimConfig(dim=d, n_samples=n, seed=13, schedule=Constant(0.7),
-                            horizon_T=500.0, n_steps=steps)
+            cfg = SimConfig(dim=d, n_samples=n, seed=13, horizon_T=500.0, n_steps=steps)
             out = integrate_backward(cfg, make_mixture_score_fn(inst, Constant(0.7)),
                                      grid_offset=0.5)[0.0]
             est.append(measure_distortion(out, inst.target, 0.5, seed=13))
@@ -368,8 +359,7 @@ class TestIntegrateBackward:
         inst = sample_centroids(d, M, seed=17, sigma2=0.5)
         est = []
         for T in (500.0, 1000.0):
-            cfg = SimConfig(dim=d, n_samples=n, seed=17, schedule=Constant(0.7),
-                            horizon_T=T, n_steps=400)
+            cfg = SimConfig(dim=d, n_samples=n, seed=17, horizon_T=T, n_steps=400)
             out = integrate_backward(cfg, make_mixture_score_fn(inst, Constant(0.7)),
                                      grid_offset=0.5)[0.0]
             est.append(measure_distortion(out, inst.target, 0.5, seed=17))
@@ -381,8 +371,7 @@ class TestIntegrateBackward:
         d = 24
         M = mode_count(0.35, d)
         inst = sample_centroids(d, M, seed=5, sigma2=0.5, normalize_target=True)
-        cfg = SimConfig(dim=d, n_samples=2000, seed=5, schedule=Constant(1.0),
-                        horizon_T=500.0, n_steps=200)
+        cfg = SimConfig(dim=d, n_samples=2000, seed=5, horizon_T=500.0, n_steps=200)
         out = integrate_backward(cfg, make_mixture_score_fn(inst, Constant(1.0),
                                                             softmax_dtype=np.float32),
                                  grid_offset=0.5)[0.0]
