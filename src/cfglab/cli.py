@@ -3,12 +3,12 @@
 Subcommands: theory {mixture|joint}, simulate {mixture|joint},
 sweep {beta-w|sigma-w|schedule|joint-schedule}, validate.
 
-Global flags: --seed, --workers, --out-dir, --emit-plot, --config.
+Global flags: --seed, --workers, --out-dir, --emit-plot, accepted before
+or after the subcommand (the later one wins).
 --workers sets the number of threads over which ``simulate`` spreads its
 sample blocks, the only parallel axis (BLAS runs on one thread inside it);
 the other commands ignore it and leave it out of their manifests.
-Flag precedence: command line > JSON config file > built-in defaults; the
-resolved parameter set is recorded in a manifest written next to every
+The resolved parameter set is recorded in a manifest written next to every
 output, and re-running with the same parameters reproduces the CSV outputs
 byte for byte (the manifest's duration field aside).
 
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import CfgLabError, DomainError
+from .errors import CfgLabError
 from .joint_gaussian import coefficients, guided_moments, guided_score_batch, random_model
 from .mixture_theory import (
     MixtureTheoryParams,
@@ -47,7 +47,7 @@ from .simulator import (
     mode_count,
     sample_centroids,
 )
-from .sweeps import AxisSpec, SweepRow, sweep_beta_w, sweep_schedule_phase_diagram, sweep_joint_gaussian_schedule, sweep_sigma_w
+from .sweeps import AxisSpec, sweep_beta_w, sweep_schedule_phase_diagram, sweep_joint_gaussian_schedule, sweep_sigma_w
 
 _USAGE_EXIT = 1
 _NUMERICAL_EXIT = 2
@@ -130,19 +130,19 @@ def _parse_times(text: str) -> list[float]:
     try:
         ts = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise DomainError(f"bad time list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
     if not ts:
-        raise DomainError("empty time list")
+        raise argparse.ArgumentTypeError("empty time list")
     return ts
 
 
 def _schedule_from(ns: argparse.Namespace) -> GuidanceSchedule:
     if ns.w is not None and (ns.w0 is not None or ns.omega is not None):
-        raise DomainError("give either --w or the pair --w0/--omega, not both")
+        raise argparse.ArgumentTypeError("give either --w or the pair --w0/--omega, not both")
     if ns.w is not None:
         return Constant(ns.w)
     if ns.w0 is None or ns.omega is None:
-        raise DomainError("need --w, or both --w0 and --omega")
+        raise argparse.ArgumentTypeError("need --w, or both --w0 and --omega")
     return Linear(ns.w0, ns.omega)
 
 
@@ -150,31 +150,6 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w", type=float, default=None, help="constant guidance level")
     p.add_argument("--w0", type=float, default=None, help="ramp intercept w(t) = w0 + omega*t")
     p.add_argument("--omega", type=float, default=None, help="ramp slope")
-
-
-def _add_axis_flags(p: argparse.ArgumentParser, name: str, lo: float, hi: float,
-                    points: int, scale: str) -> None:
-    p.add_argument(f"--{name}-min", type=float, default=lo)
-    p.add_argument(f"--{name}-max", type=float, default=hi)
-    p.add_argument(f"--{name}-points", type=int, default=points)
-    p.add_argument(f"--{name}-scale", choices=["linear", "log"], default=scale)
-
-
-def _axis_from(ns: argparse.Namespace, name: str) -> AxisSpec:
-    g = lambda suffix: getattr(ns, f"{name.replace('-', '_')}_{suffix}")
-    return AxisSpec(name, g("min"), g("max"), g("points"), g("scale"))
-
-
-def _config_file(path: str) -> dict:
-    """--config: the flag defaults in a JSON file holding one object."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
-    if not isinstance(config, dict):
-        raise argparse.ArgumentTypeError(f"{path!r} must hold a JSON object")
-    return config
 
 
 def _criteria(text: str) -> list[int]:
@@ -188,42 +163,55 @@ def _criteria(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _add_global_flags(p: argparse.ArgumentParser, top: bool) -> None:
-    # accepted both before and after the subcommand; the later position wins
-    d = {} if top else {"default": argparse.SUPPRESS}
-    p.add_argument("--seed", type=int, **({"default": None} if top else d))
-    p.add_argument("--workers", type=int, **({"default": None} if top else d))
-    p.add_argument("--out-dir", dest="out_dir", **({"default": None} if top else d))
-    p.add_argument("--emit-plot", dest="emit_plot", action="store_true", **({} if top else d))
-    p.add_argument("--config", type=_config_file, help="JSON file with flag defaults",
-                   **({"default": None} if top else d))
+_RAMP_AXES = [("w0", -1.0, 1.0, 40, "linear"), ("omega", 0.125, 5.0, 40, "linear")]
+
+# kind: (fixed flags, the two axes as (name, lo, hi, points, scale), sweep).  Each
+# entry calls its sweep through the module-level name at call time, so a wrapper
+# bound to that name (the per-layer tracer binds one) is the one that runs.
+_SWEEPS = {
+    "beta-w": (["sigma2"], [("beta", 0.01, 1.0, 40, "log"), ("w", 0.0, 1.0, 40, "linear")],
+               lambda *a: sweep_beta_w(*a)),
+    "sigma-w": (["beta"], [("sigma2", 0.1, 1.0, 40, "linear"), ("w", 0.0, 1.0, 40, "linear")],
+                lambda *a: sweep_sigma_w(*a)),
+    "schedule": (["sigma2"], _RAMP_AXES, lambda *a: sweep_schedule_phase_diagram(*a)),
+    "joint-schedule": (["r", "s"], _RAMP_AXES, lambda *a: sweep_joint_gaussian_schedule(*a)),
+}
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="cfglab", description=__doc__)
-    _add_global_flags(parser, top=True)
+    # The global flags, declared once and shared by the top parser and every
+    # leaf command.  A leaf not given one leaves the value from before the
+    # subcommand alone (SUPPRESS), so the later position wins.  The defaults
+    # reach only the top parser, through a parent of their own: set_defaults on
+    # a parser that holds the shared flags would write them into every leaf.
+    leaf = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    leaf.add_argument("--seed", type=int)
+    leaf.add_argument("--workers", type=int)
+    leaf.add_argument("--out-dir")
+    leaf.add_argument("--emit-plot", action="store_true")
+    defaults = argparse.ArgumentParser(add_help=False)
+    defaults.set_defaults(seed=0, workers=os.cpu_count() or 1, out_dir=".", emit_plot=False)
+    parser = _Parser(prog="cfglab", description=__doc__, parents=[leaf, defaults])
     sub = parser.add_subparsers(dest="command", required=True)
 
     theory = sub.add_parser("theory", help="closed-form guided moments and distortion")
     tsub = theory.add_subparsers(dest="target", required=True)
-    tm = tsub.add_parser("mixture")
+    tm = tsub.add_parser("mixture", parents=[leaf])
     tm.add_argument("--sigma2", type=float, required=True)
     tm.add_argument("--beta", type=float, required=True)
     _add_schedule_flags(tm)
     tm.add_argument("--t", default="0", help="comma-separated evaluation times")
-    _add_global_flags(tm, top=False)
     tm.add_argument("--out", default="theory_mixture.csv")
-    tj = tsub.add_parser("joint")
+    tj = tsub.add_parser("joint", parents=[leaf])
     tj.add_argument("--r", type=float, required=True)
     tj.add_argument("--s", type=float, required=True)
     _add_schedule_flags(tj)
     tj.add_argument("--t", default="0")
-    _add_global_flags(tj, top=False)
     tj.add_argument("--out", default="theory_joint.csv")
 
     simulate = sub.add_parser("simulate", help="Monte Carlo guided backward SDE")
     ssub = simulate.add_subparsers(dest="target", required=True)
-    sm = ssub.add_parser("mixture")
+    sm = ssub.add_parser("mixture", parents=[leaf])
     sm.add_argument("--d", type=int, required=True)
     sm.add_argument("--beta", type=float, required=True)
     sm.add_argument("--sigma2", type=float, required=True)
@@ -235,63 +223,37 @@ def build_parser() -> _Parser:
     sm.add_argument("--dump-samples", action="store_true")
     sm.add_argument("--normalize-target", action="store_true",
                     help="rescale the conditioning centroid to norm sqrt(d)")
-    _add_global_flags(sm, top=False)
     sm.add_argument("--out", default="simulate_mixture.csv")
-    sj = ssub.add_parser("joint")
+    sj = ssub.add_parser("joint", parents=[leaf])
     sj.add_argument("--d2", type=int, required=True)
     _add_schedule_flags(sj)
     sj.add_argument("--n", type=int, required=True)
     sj.add_argument("--model-seed", type=int, default=0)
     sj.add_argument("--T", type=float, default=500.0)
     sj.add_argument("--steps", type=int, default=2000)
-    _add_global_flags(sj, top=False)
     sj.add_argument("--out", default="simulate_joint.csv")
 
     sweep = sub.add_parser("sweep", help="phase-diagram grids as CSV tables")
-    wsub = sweep.add_subparsers(dest="kind", required=True)
-    bw = wsub.add_parser("beta-w")
-    bw.add_argument("--sigma2", type=float, required=True)
-    _add_axis_flags(bw, "beta", 0.01, 1.0, 40, "log")
-    _add_axis_flags(bw, "w", 0.0, 1.0, 40, "linear")
-    _add_global_flags(bw, top=False)
-    bw.add_argument("--out", default="sweep_beta_w.csv")
-    sw = wsub.add_parser("sigma-w")
-    sw.add_argument("--beta", type=float, required=True)
-    _add_axis_flags(sw, "sigma2", 0.1, 1.0, 40, "linear")
-    _add_axis_flags(sw, "w", 0.0, 1.0, 40, "linear")
-    _add_global_flags(sw, top=False)
-    sw.add_argument("--out", default="sweep_sigma_w.csv")
-    sc = wsub.add_parser("schedule")
-    sc.add_argument("--sigma2", type=float, required=True)
-    _add_axis_flags(sc, "w0", -1.0, 1.0, 40, "linear")
-    _add_axis_flags(sc, "omega", 0.125, 5.0, 40, "linear")
-    _add_global_flags(sc, top=False)
-    sc.add_argument("--out", default="sweep_schedule.csv")
-    js = wsub.add_parser("joint-schedule")
-    js.add_argument("--r", type=float, required=True)
-    js.add_argument("--s", type=float, required=True)
-    _add_axis_flags(js, "w0", -1.0, 1.0, 40, "linear")
-    _add_axis_flags(js, "omega", 0.125, 5.0, 40, "linear")
-    _add_global_flags(js, top=False)
-    js.add_argument("--out", default="sweep_joint_schedule.csv")
+    wsub = sweep.add_subparsers(dest="target", required=True)
+    for kind, (fixed, axes, _) in _SWEEPS.items():
+        p = wsub.add_parser(kind, parents=[leaf])
+        for name in fixed:
+            p.add_argument(f"--{name}", type=float, required=True)
+        for name, lo, hi, points, scale in axes:
+            p.add_argument(f"--{name}-min", type=float, default=lo)
+            p.add_argument(f"--{name}-max", type=float, default=hi)
+            p.add_argument(f"--{name}-points", type=int, default=points)
+            p.add_argument(f"--{name}-scale", choices=["linear", "log"], default=scale)
+        p.add_argument("--out", default=f"sweep_{kind.replace('-', '_')}.csv")
 
-    val = sub.add_parser("validate", help="run the acceptance criteria")
-    _add_global_flags(val, top=False)
+    val = sub.add_parser("validate", help="run the acceptance criteria", parents=[leaf])
     val.add_argument("--criteria", type=_criteria, default=None,
                      help="comma-separated criterion numbers (default: all)")
     return parser
 
 
-def _resolve_globals(ns: argparse.Namespace) -> None:
-    config = ns.config or {}
-    defaults = {"seed": 0, "workers": os.cpu_count() or 1, "out_dir": "."}
-    for dest, builtin in defaults.items():
-        if getattr(ns, dest) is None:
-            setattr(ns, dest, config.get(dest.replace("_", "-"), config.get(dest, builtin)))
-
-
 def _resolved_params(ns: argparse.Namespace) -> dict:
-    skip = {"command", "target", "kind", "config"}
+    skip = {"command", "target"}
     if ns.command != "simulate":
         skip.add("workers")  # only simulate reads it
     return {k: v for k, v in sorted(vars(ns).items()) if k not in skip}
@@ -380,33 +342,19 @@ def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
     return [out]
 
 
-def _sweep_rows_to_csv(rows: list[SweepRow], a1: str, a2: str) -> tuple[list[str], list[list[object]]]:
-    header = [a1, a2, "t_speciation", "delta_mu", "delta_sigma2", "region_label", "error"]
-    body = [
-        [r.axis1_value, r.axis2_value, r.t_speciation, r.delta_mu, r.delta_sigma2,
-         r.region_label, r.error]
-        for r in rows
-    ]
-    return header, body
-
-
 def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
-    names = {"beta-w": ("beta", "w"), "sigma-w": ("sigma2", "w")}.get(ns.kind, ("w0", "omega"))
-    axes = [_axis_from(ns, name) for name in names]
-    if ns.kind == "beta-w":
-        rows = sweep_beta_w(ns.sigma2, *axes)
-    elif ns.kind == "sigma-w":
-        rows = sweep_sigma_w(ns.beta, *axes)
-    elif ns.kind == "schedule":
-        rows = sweep_schedule_phase_diagram(ns.sigma2, *axes)
-    else:
-        rows = sweep_joint_gaussian_schedule(ns.r, ns.s, *axes)
+    fixed, axes, sweep = _SWEEPS[ns.target]
+    names = [name for name, *_ in axes]
+    specs = [AxisSpec(name, *(getattr(ns, f"{name}_{k}") for k in ("min", "max", "points", "scale")))
+             for name in names]
+    rows = sweep(*(getattr(ns, name) for name in fixed), *specs)
     out = os.path.join(ns.out_dir, ns.out)
-    header, body = _sweep_rows_to_csv(rows, *names)
-    _write_csv(out, header, body)
+    _write_csv(out, [*names, "t_speciation", "delta_mu", "delta_sigma2", "region_label", "error"],
+               [[r.axis1_value, r.axis2_value, r.t_speciation, r.delta_mu, r.delta_sigma2,
+                 r.region_label, r.error] for r in rows])
     outputs = [out]
     if ns.emit_plot:
-        outputs.append(_write_plot_script(out, names[0], names[1], f"sweep {ns.kind}", 4))
+        outputs.append(_write_plot_script(out, names[0], names[1], f"sweep {ns.target}", 4))
     return outputs
 
 
@@ -426,7 +374,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        _resolve_globals(ns)
         os.makedirs(ns.out_dir, exist_ok=True)
         started = time.perf_counter()
         if ns.command == "validate":
@@ -440,11 +387,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             outputs = _cmd_sweep(ns)
         duration = time.perf_counter() - started
-        _write_manifest(outputs[0], f"{ns.command} {getattr(ns, 'target', getattr(ns, 'kind', ''))}".strip(),
-                        _resolved_params(ns), ns.seed, duration, [os.path.basename(o) for o in outputs])
+        _write_manifest(outputs[0], f"{ns.command} {ns.target}", _resolved_params(ns), ns.seed,
+                        duration, [os.path.basename(o) for o in outputs])
         for o in outputs:
             print(o)
         return 0
+    except argparse.ArgumentTypeError as exc:  # a flag value that only the command can judge
+        parser.error(str(exc))
     except CfgLabError as exc:
         print(f"cfglab: numerical failure in {ns.command}: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT

@@ -3,10 +3,15 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cfglab.cli import main
+import cfglab.cli
+from cfglab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 THEORY_HEADER = "t,mean_coeff,variance,delta_mu,delta_sigma2,phase"
 SIM_HEADER = "t,delta_mu_hat,delta_mu_se,delta_sigma2_hat,delta_sigma2_se,n_samples"
@@ -212,18 +217,26 @@ class TestSweepCommand:
         assert _read(tmp_path / "x" / "g.csv") == _read(tmp_path / "y" / "g.csv")
 
 
-class TestConfigPrecedence:
-    def test_config_supplies_defaults_flags_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 11, "out_dir": str(tmp_path / "from_config")}))
-        main(["--config", str(cfg), "theory", "joint", "--r", "1", "--s", "0.6",
-              "--w", "0.5", "--out", "j.csv"])
-        manifest = json.loads(_read(tmp_path / "from_config" / "j.csv.manifest.json"))
-        assert manifest["seed"] == 11
-        main(["--config", str(cfg), "--seed", "12", "--out-dir", str(tmp_path / "cli"),
-              "theory", "joint", "--r", "1", "--s", "0.6", "--w", "0.5", "--out", "j.csv"])
-        manifest = json.loads(_read(tmp_path / "cli" / "j.csv.manifest.json"))
-        assert manifest["seed"] == 12
+class TestGlobalFlags:
+    @pytest.mark.parametrize(
+        "before,after,seed,out_dir",
+        [
+            (["--seed", "3", "--out-dir", "a"], [], 3, "a"),
+            ([], ["--seed", "4", "--out-dir", "b"], 4, "b"),
+            (["--seed", "3", "--out-dir", "a"], ["--seed", "4", "--out-dir", "b"], 4, "b"),
+            ([], [], 0, "."),
+        ],
+        ids=["before", "after", "both_later_wins", "neither_defaults"],
+    )
+    def test_position_before_or_after_the_subcommand(self, tmp_path, monkeypatch,
+                                                      before, after, seed, out_dir):
+        monkeypatch.chdir(tmp_path)
+        assert main([*before, "theory", "joint", *after, "--r", "1", "--s", "0.6",
+                     "--w", "1", "--out", "j.csv"]) == 0
+        manifest = json.loads(_read(tmp_path / out_dir / "j.csv.manifest.json"))
+        assert manifest["seed"] == seed
+        assert manifest["parameters"]["seed"] == seed
+        assert manifest["parameters"]["out_dir"] == out_dir
 
 
 class TestExitCodes:
@@ -233,7 +246,8 @@ class TestExitCodes:
         assert exc.value.code == 1
 
     def test_removed_quick_flag_is_a_usage_error(self, tmp_path):
-        for argv in (["validate", "--quick"], ["--quick", "validate"]):
+        for argv in (["validate", "--quick"], ["--quick", "validate"],
+                     ["validate", "--config", "cfg.json"], ["--config", "cfg.json", "validate"]):
             with pytest.raises(SystemExit) as exc:
                 main(["--out-dir", str(tmp_path), *argv, "--criteria", "5"])
             assert exc.value.code == 1
@@ -268,14 +282,74 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "error: argument --criteria" in capsys.readouterr().err.splitlines()[-1]
 
-    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
-                             ids=["missing", "malformed", "not_an_object"])
-    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, content):
-        cfg = tmp_path / "cfg.json"
-        if content is not None:
-            cfg.write_text(content)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "joint", "--r", "1", "--s", "0.6"],
+            ["theory", "joint", "--r", "1", "--s", "0.6", "--w", "1", "--t", "abc"],
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "0.3", "--w", "1",
+             "--w0", "0", "--omega", "1"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "0",
+             "--n", "50", "--steps", "20", "--checkpoints", ""],
+        ],
+        ids=["no_schedule", "bad_time_list", "both_schedules", "empty_checkpoints"],
+    )
+    def test_bad_schedule_or_time_list_is_a_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "--out-dir", str(tmp_path), "theory", "joint",
-                  "--r", "1", "--s", "0.6", "--w", "1"])
+            main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
         assert exc.value.code == 1
-        assert "error: argument --config" in capsys.readouterr().err.splitlines()[-1]
+        err = capsys.readouterr().err
+        assert "numerical failure" not in err
+        assert err.splitlines()[-1].startswith("cfglab: error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,fixed,axes,name",
+    [
+        ("beta-w", ["--sigma2", "0.5"], ("beta", "w"), "sweep_beta_w"),
+        ("sigma-w", ["--beta", "0.1"], ("sigma2", "w"), "sweep_sigma_w"),
+        ("schedule", ["--sigma2", "0.75"], ("w0", "omega"), "sweep_schedule_phase_diagram"),
+        ("joint-schedule", ["--r", "1", "--s", "0.6"], ("w0", "omega"),
+         "sweep_joint_gaussian_schedule"),
+    ],
+    ids=["beta-w", "sigma-w", "schedule", "joint-schedule"],
+)
+def test_sweep_runs_the_function_bound_to_its_module_name(tmp_path, monkeypatch,
+                                                          kind, fixed, axes, name):
+    """The per-layer tracer wraps ``cfglab.cli.sweep_*``: each kind must call through that name."""
+    real = getattr(cfglab.cli, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cfglab.cli, name, counting)
+    rc = main(["--out-dir", str(tmp_path), "sweep", kind, *fixed,
+               f"--{axes[0]}-points", "2", f"--{axes[1]}-points", "2", "--out", "g.csv"])
+    assert rc == 0
+    assert len(calls) == 1
+    header, rows = _rows(tmp_path / "g.csv")
+    assert header.startswith(f"{axes[0]},{axes[1]},") and len(rows) == 4
+
+
+def _readme_commands():
+    """Every ``cfglab ...`` line of README's sh blocks, continuations joined, $VAR as 1."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [re.sub(r"\$\w+", "1", line.strip()) for line in lines
+            if line.strip().startswith("cfglab ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert commands
+    parser = build_parser()
+    rejected = []
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            rejected.append(line)
+    assert rejected == []
