@@ -51,7 +51,7 @@ from .simulator import (
     mode_count,
     sample_centroids,
 )
-from .special_math import BetaArgs, incomplete_beta_definite
+from .special_math import BetaArgs, FloatOrArray, incomplete_beta_definite
 from .sweeps import AxisSpec, sweep_schedule_phase_diagram
 
 
@@ -349,13 +349,14 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
     the q1 and q2 that ``zeta`` defines; ``assemble_trajectory`` takes the
     mean path (a-1)^2, a^2 instead.  The switch is the largest root of
     beta + zeta(t, 1, sigma2, q1, q2), found by ``speciation_time``'s array
-    scan and multisection, with a and s^2 from the guided-phase closed forms
-    evaluated on arrays of times; the moments on either side are the
-    package's closed forms.  At w = 0 the root is the collapse time
-    1/(exp(2 beta) - 1) - sigma2 and the distortion vanishes.
+    scan, multisection round and Brent polish, with a and s^2 from the
+    guided-phase closed forms evaluated on arrays of times or on one float
+    time; the moments on either side are the package's closed forms.  At
+    w = 0 the root is the collapse time 1/(exp(2 beta) - 1) - sigma2 and the
+    distortion vanishes.
     """
 
-    def switch(t: np.ndarray) -> np.ndarray:
+    def switch(t: FloatOrArray) -> FloatOrArray:
         a, s2 = _horizon_free(t, sigma2, w)
         return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
 

@@ -55,6 +55,9 @@ _VALIDATION_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # The leaf commands whose flags are judged after parsing, by manifest label.
+    leaves: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str) -> None:  # argparse default exits with 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -249,7 +252,19 @@ def build_parser() -> _Parser:
     val = sub.add_parser("validate", help="run the acceptance criteria", parents=[leaf])
     val.add_argument("--criteria", type=_criteria, default=None,
                      help="comma-separated criterion numbers (default: all)")
+    parser.leaves = {"theory mixture": tm, "theory joint": tj,
+                     "simulate mixture": sm, "simulate joint": sj}
     return parser
+
+
+def _check_flags(ns: argparse.Namespace) -> None:
+    """Judge the flags that argparse reads one by one but the command reads
+    together: the guidance schedule and the time lists."""
+    if hasattr(ns, "w"):
+        _schedule_from(ns)
+    for name in ("t", "checkpoints"):
+        if hasattr(ns, name):
+            _parse_times(getattr(ns, name))
 
 
 def _resolved_params(ns: argparse.Namespace) -> dict:
@@ -374,6 +389,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        _check_flags(ns)
+    except argparse.ArgumentTypeError as exc:
+        parser.leaves[f"{ns.command} {ns.target}"].error(str(exc))
+    try:
         os.makedirs(ns.out_dir, exist_ok=True)
         started = time.perf_counter()
         if ns.command == "validate":
@@ -392,8 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for o in outputs:
             print(o)
         return 0
-    except argparse.ArgumentTypeError as exc:  # a flag value that only the command can judge
-        parser.error(str(exc))
     except CfgLabError as exc:
         print(f"cfglab: numerical failure in {ns.command}: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
-from .special_math import BetaArgs, incomplete_beta_definite
+from .special_math import BetaArgs, FloatOrArray, incomplete_beta_definite
 
 __all__ = [
     "JointGaussianModel",
@@ -51,9 +50,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
-
-# A time for the closed forms that take a float or a numpy array of them.
-FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -153,6 +149,11 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     mean ODE for any w(t) and is outgrown by its homogeneous solutions
     h = (s+t)^(1+w0-omega s) (r+t)^(omega r-w0); from lambda(T) at a finite
     horizon T the coefficient is P(t) + (lambda(T) - P(T)) h(t)/h(T).
+
+    Accuracy degrades as p = omega (r - s) -> 0: against P the relative
+    error is 2.2e-5 at (s, r, w0, omega, t) = (0.5, 1.5, 0.5, 1e-4, 0) and
+    at most 2.9e-9 wherever p >= 1e-3 (6000 random draws).  The default
+    sweep grids keep omega >= 0.125.
     """
     _check_sr_t(s, r, t)
     w0, omega = sched.w0, sched.omega

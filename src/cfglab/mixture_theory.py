@@ -52,10 +52,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .joint_gaussian import (
-    FloatOrArray, Lambda_coeff_linear, Lambda_formula, lambda_coeff_linear, lambda_formula)
+from .joint_gaussian import Lambda_coeff_linear, Lambda_formula, lambda_coeff_linear, lambda_formula
 from .schedule import Constant, GuidanceSchedule, Linear
-from .special_math import bisection_root
+from .special_math import FloatOrArray, bisection_root
 
 __all__ = [
     "GUIDED",
@@ -181,7 +180,8 @@ def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
 
     Solves beta + zeta_typical(t) = 0 for its largest root: one array
     evaluation on a log grid on (1e-6, 1e8) brackets the last sign change,
-    and ``bisection_root``'s multisection in log t refines it.  Returns None when
+    and ``bisection_root`` refines it in log t (one multisection round on an
+    array, then Brent's method on floats).  Returns None when
     beta + zeta stays positive on the whole grid (no transition), and
     math.inf when it is negative even at the largest grid time (the process
     is conditional before any finite time; zero distortion).
@@ -193,15 +193,17 @@ def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
     return _switch_root(lambda t: beta + zeta_typical(t, params.sigma2, w))
 
 
-def _switch_root(f: Callable[[np.ndarray], np.ndarray]) -> Optional[float]:
+def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
     """Largest root in t of a switch condition f(t) = beta + zeta(t).
 
-    f takes an array of times.  One call of f on the 400-point log grid on
-    (1e-6, 1e8) finds the last grid point where f <= 0; ``bisection_root``
-    then refines the bracket above it in log t to 1e-13.  None when f stays
-    positive on the whole grid, math.inf when f is nonpositive even at the
-    largest grid time (the sentinels of ``DistortionReport``); a grid point
-    where f is exactly zero is returned as it is.
+    f takes an array of times or one float time.  One call of f on the
+    400-point log grid on (1e-6, 1e8) finds the last grid point where f <= 0;
+    ``bisection_root`` then refines the bracket above it in log t to 1e-13:
+    one 257-point array call, then a few float calls of Brent's method, each
+    at t = math.exp(y) so the closed forms take their ``math`` branch.  None
+    when f stays positive on the whole grid, math.inf when f is nonpositive
+    even at the largest grid time (the sentinels of ``DistortionReport``); a
+    grid point where f is exactly zero is returned as it is.
     """
     values = f(_SCAN_GRID)
     if values[-1] <= 0.0:
@@ -213,7 +215,7 @@ def _switch_root(f: Callable[[np.ndarray], np.ndarray]) -> Optional[float]:
     if values[k] == 0.0:
         return float(_SCAN_GRID[k])
     x = bisection_root(
-        lambda y: f(np.exp(y)),
+        lambda y: f(np.exp(y) if isinstance(y, np.ndarray) else math.exp(y)),
         math.log(_SCAN_GRID[k]),
         math.log(_SCAN_GRID[k + 1]),
         1e-13,

@@ -6,9 +6,10 @@ Self-contained implementations (no external special-function dependency) of
 * definite incomplete Beta integrals  int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr,
   including exponents a <= 0 (only with f1 > 0) and endpoint regularisation
   by change of variable when 0 < a < 1 or 0 < b < 1,
-* bracketed root finding by multisection: each round evaluates the function
-  once on an array of equispaced points and keeps the last sub-bracket where
-  the sign changes.
+* bracketed root finding for the largest root: one multisection round
+  evaluates the function once on an array of equispaced points and keeps the
+  last sub-bracket where the sign changes, then Brent's method refines that
+  sub-bracket on Python floats.
 
 All functions are pure; the module holds no mutable state.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -31,6 +32,9 @@ __all__ = [
     "incomplete_beta_definite",
     "bisection_root",
 ]
+
+# A point for the functions that take a float or a numpy array of them.
+FloatOrArray = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -213,38 +217,36 @@ def incomplete_beta_definite(
     return math.fsum(pieces)
 
 
-# Sub-brackets per multisection round.  Each round costs one array call of
-# g, so a wide section cuts the Python-level rounds: a bracket of width 0.08
-# reaches 1e-13 in 5 rounds instead of 40 bisection steps.
+# Sub-brackets of the one multisection round.  The round costs one array call
+# of g and keeps the last sign change it resolves; Brent's method then needs
+# only a few float calls: a bracket of width 0.08 reaches 1e-13 in about three.
 _SECTIONS = 256
 _SECTION_FRACTIONS = np.linspace(0.0, 1.0, _SECTIONS + 1)
-
-
-def _sections(lo: float, hi: float, tol: float) -> np.ndarray | None:
-    """One round's points lo..hi; None once [lo, hi] is within tol or at float resolution."""
-    xs = lo + (hi - lo) * _SECTION_FRACTIONS
-    xs[-1] = hi
-    return None if hi - lo <= tol or xs[1] <= lo or xs[-2] >= hi else xs
+_EPS = np.finfo(float).eps
 
 
 def bisection_root(
-    g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float
+    g: Callable[[FloatOrArray], FloatOrArray], lo: float, hi: float, tol: float
 ) -> float:
     """Largest root of g on a sign-changing bracket; stops when the bracket is <= tol.
 
-    g takes a 1-d array of points and returns its values there.  Each round
-    evaluates g on ``_SECTIONS + 1`` equispaced points of [lo, hi] and keeps
-    the last sub-bracket where the sign changes, so among the roots the grid
-    resolves the largest one is kept; with two sections this is plain
-    bisection.  The first round's values at lo and hi also check the bracket.
-    A point where g is exactly zero is returned as it is.
+    g takes a 1-d array of points or one Python float and returns its values
+    there.  One call on ``_SECTIONS + 1`` equispaced points of [lo, hi] checks
+    the bracket with its end values and keeps the last sub-bracket where the
+    sign changes, so among the roots that grid resolves the largest one is
+    kept.  Brent's method (inverse quadratic and secant steps, with a
+    bisection fallback that bounds the worst case) then refines that
+    sub-bracket, one float call of g per step, until it is within tol or at
+    float resolution.  A bracket already within tol costs one call of g on
+    its two ends.  A point where g is exactly zero is returned as it is.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    xs = _sections(lo, hi, tol)
-    values = g(np.array([lo, hi]) if xs is None else xs)
+    xs = np.array([lo, hi]) if hi - lo <= tol else lo + (hi - lo) * _SECTION_FRACTIONS
+    xs[-1] = hi
+    values = g(xs)
     g_lo, g_hi = values[0], values[-1]
     if g_lo == 0.0:
         return lo
@@ -252,15 +254,59 @@ def bisection_root(
         return hi
     if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
+    if xs.size == 2:
+        return 0.5 * (lo + hi)
     sign_hi = 1.0 if g_hi > 0 else -1.0
-    while xs is not None:
-        signs = np.sign(values)
-        signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known
-        # Every point right of k has g(hi)'s sign: the last root lies in [x_k, x_k+1).
-        k = int(np.flatnonzero(signs != sign_hi)[-1])
-        if signs[k] == 0.0:
-            return float(xs[k])
-        lo, hi = float(xs[k]), float(xs[k + 1])
-        xs = _sections(lo, hi, tol)
-        values = None if xs is None else g(xs)
-    return 0.5 * (lo + hi)
+    signs = np.sign(values)
+    signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known
+    # Every point right of k has g(hi)'s sign: the last root lies in [x_k, x_k+1).
+    k = int(np.flatnonzero(signs != sign_hi)[-1])
+    if signs[k] == 0.0:
+        return float(xs[k])
+    return _brent(g, float(xs[k]), float(xs[k + 1]), float(values[k]), float(values[k + 1]), tol)
+
+
+def _brent(g: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+           tol: float) -> float:
+    """Brent's zero of g on [a, b], where fa = g(a) and fb = g(b) differ in sign.
+
+    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4:
+    b is the best point so far and c the other end of the bracket.  A step
+    that would not shrink the bracket fast enough bisects instead, which
+    bounds the calls by about k^2 for the k steps plain bisection would take;
+    near a simple root the steps converge superlinearly.  Returns b once
+    |c - b| <= tol + 4 eps |b| (the slack is float resolution) or g(b) == 0.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = float(g(b))
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a

@@ -1,11 +1,12 @@
 """Test-side oracle: the scalar phase-switch root finder.
 
-``mixture_theory`` finds the phase switch on arrays: one evaluation of the
-switch condition on the 400-point log grid, then multisection in log t.
-This module keeps the scalar path that the array path replaced -- the
-guided-phase closed forms and zeta written with ``math``, a point-by-point
-descending sign scan and plain bisection -- so the tests can check the
-array path against an independent one.  It also keeps the conditional-phase
+``mixture_theory`` finds the phase switch with one evaluation of the switch
+condition on the 400-point log grid, then, in log t, one 257-point
+multisection round on an array and a Brent polish on floats.  This module
+keeps the scalar path that the array path replaced -- the guided-phase
+closed forms and zeta written with ``math``, a point-by-point descending
+sign scan and plain bisection -- so the tests can check the library's path
+against an independent one.  It also keeps the conditional-phase
 closed form, which the library now evaluates as the guided propagator at
 w = 0.
 """

@@ -295,13 +295,34 @@ class TestExitCodes:
         ids=["no_schedule", "bad_time_list", "both_schedules", "empty_checkpoints"],
     )
     def test_bad_schedule_or_time_list_is_a_usage_error(self, tmp_path, capsys, argv):
+        # reported by the leaf command, before --out-dir is created
+        out_dir = tmp_path / "nd" / "x"
         with pytest.raises(SystemExit) as exc:
-            main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
+            main(["--out-dir", str(out_dir), *argv, "--out", "x.csv"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "numerical failure" not in err
-        assert err.splitlines()[-1].startswith("cfglab: error: ")
-        assert not (tmp_path / "x.csv").exists()
+        leaf = f"cfglab {argv[0]} {argv[1]}"
+        assert err.startswith(f"usage: {leaf} [-h]")
+        assert err.splitlines()[-1].startswith(f"{leaf}: error: ")
+        assert not (tmp_path / "nd").exists()
+
+    def test_usage_error_shows_the_leaf_flags_it_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "joint", "--r", "1", "--s", "0.6"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        usage = err[: err.index("cfglab theory joint: error: need --w")]
+        assert all(flag in usage for flag in ("[--w W]", "[--w0 W0]", "[--omega OMEGA]"))
+
+    def test_usage_error_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", "nd/x", "theory", "joint", "--r", "1", "--s", "0.6"])
+        assert exc.value.code == 1
+        assert not (tmp_path / "nd").exists()
+        assert main(["--out-dir", "nd/x", "theory", "joint", "--r", "1", "--s", "0.6", "--w", "1"]) == 0
+        assert (tmp_path / "nd" / "x" / "theory_joint.csv").exists()
 
 
 @pytest.mark.parametrize(

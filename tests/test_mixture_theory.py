@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import root_oracle
 from cfglab.acceptance import _linear_moment_ode_oracle, _sample_path_oracle
@@ -218,6 +220,23 @@ def test_switch_matches_scalar_scan_and_bisection(sigma2, beta, w, expected):
         assert t_s == pytest.approx(ref, rel=1e-12, abs=0.0)
     else:
         assert ref == expected and t_s == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma2=st.floats(0.05, 2.0, exclude_min=True, exclude_max=True),
+    beta=st.floats(0.005, 1.5, exclude_min=True, exclude_max=True),
+    w=st.floats(-0.45, 3.0, exclude_min=True, exclude_max=True),
+)
+def test_switch_matches_scalar_scan_and_bisection_anywhere(sigma2, beta, w):
+    # the array scan, multisection round and Brent polish against the scalar
+    # scan and plain bisection: same sentinel, or the same root to 1e-12
+    t_s = speciation_time(MixtureTheoryParams(sigma2, beta, Constant(w)))
+    ref = root_oracle.mean_path_switch(sigma2, beta, w)
+    if ref is None or math.isinf(ref):
+        assert t_s == ref
+    else:
+        assert t_s == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])

@@ -149,14 +149,6 @@ class TestBisectionRoot:
     def test_endpoint_root(self):
         assert bisection_root(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
 
-    def test_calls_g_on_arrays_only(self):
-        def g(x):
-            if not isinstance(x, np.ndarray):
-                raise TypeError(f"g takes an array, got {type(x).__name__}")
-            return x - 0.3
-
-        assert bisection_root(g, 0.0, 1.0, 1e-12) == pytest.approx(0.3, abs=1e-12)
-
     def test_returns_the_last_root(self):
         # Roots at 0.1, 0.6 and 0.7; g(0.5) > 0, so plain bisection would keep
         # [0, 0.5] and return 0.1.  The switch time needs the largest root.
@@ -172,21 +164,59 @@ class TestBisectionRoot:
         g = lambda y: np.expm1(y - root) * (1.0 + np.exp(y))
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
 
-    def test_one_call_of_g_per_round(self):
-        # The first round's grid holds the bracket ends, so the switch
-        # bracket (0.0808 wide, tol 1e-13: five rounds of 256 sections)
-        # calls g five times, and a bracket already within tol once.
+    @staticmethod
+    def _recording_switch_g(root, calls):
+        """expm1(y - root) that records each call: the array size, or "float"."""
+
+        def g(y):
+            if isinstance(y, np.ndarray):
+                calls.append(y.size)
+                return np.expm1(y - root)
+            assert isinstance(y, float), type(y)
+            calls.append("float")
+            return math.expm1(y - root)
+
+        return g
+
+    def test_switch_bracket_takes_one_array_call_then_few_float_calls(self):
+        # The switch bracket (0.0808 wide, tol 1e-13): one round of 256
+        # sections on an array, then Brent's method on floats.
         lo = math.log(1.5)
         hi = lo + math.log(1e14) / 399
         root = lo + 0.3 * (hi - lo)
-        sizes = []
+        calls = []
+        g = self._recording_switch_g(root, calls)
+        assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
+        assert calls[0] == 257
+        assert 1 <= len(calls[1:]) <= 8 and set(calls[1:]) == {"float"}
+
+    def test_bracket_within_tol_takes_one_two_point_call(self):
+        root = 0.7
+        calls = []
+        g = self._recording_switch_g(root, calls)
+        assert bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) == pytest.approx(root)
+        assert calls == [2]
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda u: np.sign(u) if isinstance(u, np.ndarray) else math.copysign(1.0, u),
+            lambda u: u**9,
+        ],
+        ids=["step", "ninth_power"],
+    )
+    def test_reaches_tol_where_interpolation_fails(self, shape):
+        # No slope to interpolate (a step) or a root of order nine: Brent's
+        # bisection fallback still closes the switch bracket to 1e-13, in at
+        # most three times the 32 float calls plain bisection would make.
+        lo = math.log(1.5)
+        hi = lo + math.log(1e14) / 399
+        root = lo + 0.3 * (hi - lo)
+        calls = []
 
         def g(y):
-            sizes.append(len(y))
-            return np.expm1(y - root)
+            calls.append(y.size if isinstance(y, np.ndarray) else "float")
+            return shape(y - root)
 
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
-        assert sizes == [257] * 5
-        sizes.clear()
-        assert bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) == pytest.approx(root)
-        assert sizes == [2]
+        assert calls[0] == 257 and len(calls) <= 1 + 3 * 32
