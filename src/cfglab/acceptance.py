@@ -26,12 +26,12 @@ from .joint_gaussian import (
     guided_moments,
     guided_score_batch,
     lambda_coeff,
+    propagate,
     random_model,
 )
 from .mixture_theory import (
     DistortionReport,
     MixtureTheoryParams,
-    _horizon_free,
     _report,
     _switch_root,
     assemble_trajectory,
@@ -349,15 +349,16 @@ def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionRepor
     the q1 and q2 that ``zeta`` defines; ``assemble_trajectory`` takes the
     mean path (a-1)^2, a^2 instead.  The switch is the largest root of
     beta + zeta(t, 1, sigma2, q1, q2), found by ``speciation_time``'s array
-    scan, multisection round and Brent polish, with a and s^2 from the
-    guided-phase closed forms evaluated on arrays of times or on one float
-    time; the moments on either side are the package's closed forms.  At
+    scan, multisection round and Brent polish, with a and s^2 from
+    ``joint_gaussian.propagate``'s horizon-free moments at
+    (sigma2, sigma2 + 1), evaluated on arrays of times or on one float time;
+    the moments on either side are the package's closed forms.  At
     w = 0 the root is the collapse time 1/(exp(2 beta) - 1) - sigma2 and the
     distortion vanishes.
     """
 
     def switch(t: FloatOrArray) -> FloatOrArray:
-        a, s2 = _horizon_free(t, sigma2, w)
+        a, s2 = propagate(sigma2, sigma2 + 1.0, w, t)
         return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
 
     return _report(_switch_root(switch), sigma2, w)

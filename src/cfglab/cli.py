@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import CfgLabError
+from .errors import CfgLabError, DomainError
 from .joint_gaussian import coefficients, guided_moments, guided_score_batch, random_model
 from .mixture_theory import (
     MixtureTheoryParams,
@@ -134,19 +134,20 @@ def _parse_times(text: str) -> list[float]:
         ts = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
-    if not ts:
-        raise argparse.ArgumentTypeError("empty time list")
+    if not ts or not all(math.isfinite(t) for t in ts):
+        raise argparse.ArgumentTypeError(f"want a nonempty list of finite times, got {text!r}")
     return ts
 
 
 def _schedule_from(ns: argparse.Namespace) -> GuidanceSchedule:
     if ns.w is not None and (ns.w0 is not None or ns.omega is not None):
         raise argparse.ArgumentTypeError("give either --w or the pair --w0/--omega, not both")
-    if ns.w is not None:
-        return Constant(ns.w)
-    if ns.w0 is None or ns.omega is None:
+    if ns.w is None and (ns.w0 is None or ns.omega is None):
         raise argparse.ArgumentTypeError("need --w, or both --w0 and --omega")
-    return Linear(ns.w0, ns.omega)
+    try:
+        return Constant(ns.w) if ns.w is not None else Linear(ns.w0, ns.omega)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:

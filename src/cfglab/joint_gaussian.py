@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "Lambda_coeff",
     "lambda_formula",
     "Lambda_formula",
+    "propagate",
     "lambda_coeff_linear",
     "Lambda_coeff_linear",
     "coefficients",
@@ -108,6 +110,31 @@ def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArra
     xp = np if isinstance(t, np.ndarray) else math
     k = 2.0 * w + 1.0
     return (r + t) * xp.expm1(k * xp.log1p((s - r) / (r + t))) / (k * (s - r))
+
+
+def propagate(
+    s: float, r: float, w: float, t: FloatOrArray, start: Optional[tuple[float, float, float]] = None
+) -> tuple[FloatOrArray, FloatOrArray]:
+    """(mean_coeff, variance) of the pair 0 < s < r at time t (a float or an
+    array, checked elementwise) under constant w > -1/2: the horizon-free
+    (lambda, (s+t) Lambda), or seeded by ``start=(T, mean_T, var_T)`` at a
+    finite T >= t, whose gap to them the linear dynamics decay by
+    D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for the variance)."""
+    if not (0.0 < s < r):
+        raise DomainError(f"need 0 < s < r, got s={s}, r={r}")
+    if w <= -0.5:
+        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
+    T = math.inf if start is None else start[0]
+    lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)  # floats skip numpy call overhead
+    if lo < 0.0 or hi > T:
+        raise DomainError(f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}")
+    mean, var = lambda_formula(s, r, w, t), (s + t) * Lambda_formula(s, r, w, t)
+    if start is None:
+        return mean, var
+    _, mean_T, var_T = start
+    free_mean_T, free_var_T = propagate(s, r, w, T)
+    decay = ((s + t) / (s + T)) ** (1.0 + w) * ((r + T) / (r + t)) ** w
+    return mean + decay * (mean_T - free_mean_T), var + decay * decay * (var_T - free_var_T)
 
 
 def lambda_coeff(s: float, r: float, w: float, t: float) -> float:

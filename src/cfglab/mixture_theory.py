@@ -21,10 +21,10 @@ conditional phase; distortion at sampling time t=0 is summarised by
 
 By isotropy the d-dimensional moments reduce to a scalar pair
 (mean_coeff a(t), variance s^2(t)) with mean(t) = a(t) * c1.  Both phases
-are one linear moment dynamics: the guided phase is the joint-Gaussian
-eigendirection at (s, r) = (sigma^2, sigma^2 + 1), so a(t) = lambda(t) and
-s^2(t) = (sigma^2 + t) Lambda(t) from ``joint_gaussian``, and the
-conditional phase is the same dynamics at w = 0, seeded at t_s.
+are ``joint_gaussian.propagate`` at (s, r) = (sigma^2, sigma^2 + 1): the
+guided phase is its horizon-free a(t) = lambda(t), s^2(t) = (sigma^2 + t)
+Lambda(t), and the conditional phase is the same propagator at w = 0, seeded
+at t_s by the guided moments there.
 
 Conventions fixed by exactly solvable limits (see the test suite):
 * zeta_t is evaluated on the mean path, q1 = (a-1)^2, q2 = a^2 with
@@ -52,7 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .joint_gaussian import Lambda_coeff_linear, Lambda_formula, lambda_coeff_linear, lambda_formula
+from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear, lambda_formula, propagate
 from .schedule import Constant, GuidanceSchedule, Linear
 from .special_math import FloatOrArray, bisection_root
 
@@ -66,8 +66,6 @@ __all__ = [
     "zeta_typical",
     "typical_overlaps",
     "speciation_time",
-    "guided_phase_moments",
-    "conditional_phase_moments",
     "assemble_trajectory",
     "delta_estimators_constant",
     "guided_moments_linear_schedule",
@@ -228,74 +226,17 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _horizon_free(t: FloatOrArray, sigma2: float, w: float) -> tuple[FloatOrArray, FloatOrArray]:
-    """Guided-phase (mean_coeff, variance) from the infinite horizon: lambda
-    and (sigma2 + t) * Lambda at (s, r) = (sigma2, sigma2 + 1), unchecked."""
-    r = sigma2 + 1.0
-    return lambda_formula(sigma2, r, w, t), (sigma2 + t) * Lambda_formula(sigma2, r, w, t)
-
-
-def guided_phase_moments(
-    t: float,
-    T: float,
-    sigma2: float,
-    w: float,
-    init: Optional[GuidedMoments] = None,
-) -> GuidedMoments:
-    """Closed-form moments in the guided phase for constant guidance w > -1/2.
-
-    With T = math.inf ``init`` is ignored (the noise prior is forgotten).
-    With a finite horizon the trajectory is seeded by ``init`` at time T: the
-    dynamics are linear, so the gap between ``init`` and the T = inf moments
-    at T decays by D = (g_t/g_T)^(1+w) ((g_T+1)/(g_t+1))^w (D^2 for the
-    variance) on its way to t.
-    """
-    if t < 0 or t > T:
-        raise DomainError(f"need 0 <= t <= T, got t={t}, T={T}")
-    if w <= -0.5:
-        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
-    a_t, v_t = _horizon_free(t, sigma2, w)
-    if math.isinf(T):
-        return GuidedMoments(t=t, mean_coeff=a_t, variance=v_t, phase=GUIDED)
-    if init is None:
-        raise DomainError("finite horizon integration requires an init state")
-    a_T, v_T = _horizon_free(T, sigma2, w)
-    g_t, g_T = sigma2 + t, sigma2 + T
-    decay = (g_t / g_T) ** (1.0 + w) * ((g_T + 1.0) / (g_t + 1.0)) ** w
-    return GuidedMoments(
-        t=t,
-        mean_coeff=a_t + decay * (init.mean_coeff - a_T),
-        variance=v_t + decay * decay * (init.variance - v_T),
-        phase=GUIDED,
-    )
-
-
-def conditional_phase_moments(
-    t: float, t_start: float, sigma2: float, init: GuidedMoments
-) -> GuidedMoments:
-    """Closed-form moments in the conditional phase, seeded at t_start.
-
-    The finite-horizon guided propagator at w = 0 from ``init`` at t_start:
-    a(t) = (g_t/g_s) a(t_start) + (t_start - t)/g_s and
-    s^2(t) = (g_t/g_s)^2 s^2(t_start) + (t_start - t) g_t/g_s.
-    The exact conditional marginal (a = 1, s^2 = sigma2 + t) is a fixed point.
-    """
-    if t > t_start:
-        raise DomainError(f"need t <= t_start, got t={t}, t_start={t_start}")
-    m = guided_phase_moments(t, t_start, sigma2, 0.0, init)
-    return GuidedMoments(t=t, mean_coeff=m.mean_coeff, variance=m.variance, phase=CONDITIONAL)
-
-
 def _moments_at(t: float, t_s: Optional[float], sigma2: float, w: float) -> GuidedMoments:
     """Piecewise moments at time t for switch time t_s (``DistortionReport``'s
     sentinels): guided at and above t_s or throughout when t_s is None, the
-    exact conditional marginal when t_s is math.inf, otherwise conditional
-    seeded by the guided moments at t_s."""
+    exact conditional marginal when t_s is math.inf, otherwise the guided
+    propagator at w = 0 seeded by the guided moments at t_s."""
+    s, r = sigma2, sigma2 + 1.0
     if t_s is None or t >= t_s:
-        return guided_phase_moments(t, math.inf, sigma2, w)
+        return GuidedMoments(t, *propagate(s, r, w, t), GUIDED)
     if math.isinf(t_s):
-        return GuidedMoments(t=t, mean_coeff=1.0, variance=sigma2 + t, phase=CONDITIONAL)
-    return conditional_phase_moments(t, t_s, sigma2, guided_phase_moments(t_s, math.inf, sigma2, w))
+        return GuidedMoments(t, 1.0, sigma2 + t, CONDITIONAL)
+    return GuidedMoments(t, *propagate(s, r, 0.0, t, (t_s, *propagate(s, r, w, t_s))), CONDITIONAL)
 
 
 def _report(t_s: Optional[float], sigma2: float, w: float) -> DistortionReport:

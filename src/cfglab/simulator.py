@@ -151,16 +151,15 @@ def _rekey(rng: np.random.Generator, seed: int, tag: int, index: int) -> np.rand
 
 def mode_count(beta: float, d: int) -> int:
     """M = round(exp(beta*d)), rejected above 5e4 (reduce d to simulate)."""
-    if beta < 0 or d < 1:
-        raise DomainError("need beta >= 0 and d >= 1")
-    m = round(math.exp(beta * d))
-    if m > _MODE_COUNT_CAP:
+    if not beta >= 0 or d < 1:
+        raise DomainError(f"need beta >= 0 and d >= 1, got beta={beta}, d={d}")
+    if beta * d > math.log(_MODE_COUNT_CAP + 0.5):  # judged before exp, which overflows
         raise BudgetError(
-            f"beta*d = {beta * d:.3f} gives M = {m} > {_MODE_COUNT_CAP}; "
+            f"beta*d = {beta * d:.3f} gives M = exp(beta*d) > {_MODE_COUNT_CAP}; "
             "reduce d (the exponential mode count is only materialised at "
             "desk scale)"
         )
-    return max(m, 1)
+    return max(round(math.exp(beta * d)), 1)
 
 
 def sample_centroids(

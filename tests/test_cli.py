@@ -291,8 +291,19 @@ class TestExitCodes:
              "--w0", "0", "--omega", "1"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "0",
              "--n", "50", "--steps", "20", "--checkpoints", ""],
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "0.3", "--w", "-0.7"],
+            ["simulate", "joint", "--d2", "3", "--n", "50", "--w", "nan"],
+            ["theory", "joint", "--r", "1", "--s", "0.6", "--w0", "-2", "--omega", "1"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w0", "0",
+             "--omega", "-1", "--n", "50"],
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "0.3", "--w", "1",
+             "--t", "nan,inf"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "0",
+             "--n", "50", "--steps", "20", "--checkpoints", "0,inf"],
         ],
-        ids=["no_schedule", "bad_time_list", "both_schedules", "empty_checkpoints"],
+        ids=["no_schedule", "bad_time_list", "both_schedules", "empty_checkpoints",
+             "w_below_half", "w_nan", "w0_below_minus_one", "omega_negative",
+             "non_finite_times", "non_finite_checkpoints"],
     )
     def test_bad_schedule_or_time_list_is_a_usage_error(self, tmp_path, capsys, argv):
         # reported by the leaf command, before --out-dir is created

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfglab.errors import DomainError
@@ -16,6 +16,7 @@ from cfglab.joint_gaussian import (
     guided_score_batch,
     lambda_coeff,
     lambda_coeff_linear,
+    propagate,
     random_model,
 )
 from cfglab.schedule import Constant, Linear, guidance_level
@@ -93,6 +94,55 @@ def _Lambda_time_domain(s, r, w0, omega, t):
     tail = lambda T: 2.0 * T ** (-p - 1.0) / (p + 1.0)
     q = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=4000)
     return z2 * improper_quad(integrand, t, q, tail)
+
+
+class TestPropagate:
+    """The constant-w propagator of one eigendirection, horizon-free or seeded."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.floats(0.05, 2.0),
+        gap=st.floats(0.05, 2.0),
+        w=st.floats(-0.45, 3.0, exclude_min=True, exclude_max=True),
+        T1=st.floats(1e-3, 1e4),
+        f2=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        f=st.floats(0.0, 1.0, exclude_max=True),
+        mean_T1=st.floats(-3.0, 3.0),
+        var_frac=st.floats(0.0, 2.0),
+    )
+    def test_seeds_compose(self, s, gap, w, T1, f2, f, mean_T1, var_frac):
+        # the dynamics are linear, so stopping at T2 and seeding again from
+        # there equals going from T1 to t in one piece.  The error is taken
+        # relative to the larger of the moment and its horizon-free value: a
+        # seed can cancel a moment to near 0, not the rounding of its terms.
+        r, T2 = s + gap, f2 * T1
+        t = f * T2
+        assume(0.0 <= t < T2 < T1)
+        seed = (T1, mean_T1, var_frac * (s + T1))
+        direct = propagate(s, r, w, t, seed)
+        composed = propagate(s, r, w, t, (T2, *propagate(s, r, w, T2, seed)))
+        for got, want, free in zip(composed, direct, propagate(s, r, w, t)):
+            assert abs(got - want) <= 1e-12 * max(abs(want), abs(free))
+
+    @pytest.mark.parametrize(
+        "s,r,w,t,start",
+        [
+            (1.0, 1.0, 1.0, 0.5, None),  # s = r
+            (1.2, 1.0, 1.0, 0.5, None),  # s > r
+            (0.0, 1.0, 1.0, 0.5, None),  # s = 0
+            (0.6, 1.0, -0.5, 0.5, None),  # w = -1/2
+            (0.6, 1.0, -0.7, 0.5, (2.0, 0.0, 2.0)),
+            (0.6, 1.0, 1.0, -0.1, None),  # t < 0
+            (0.6, 1.0, 1.0, 2.5, (2.0, 0.0, 2.0)),  # t > T
+            (0.6, 1.0, 1.0, np.array([0.0, 1.0, -1e-9]), None),
+            (0.6, 1.0, 1.0, np.array([0.0, 2.0 + 1e-9, 1.0]), (2.0, 0.0, 2.0)),
+        ],
+        ids=["s_eq_r", "s_gt_r", "s_zero", "w_half", "w_below_half_seeded", "t_negative",
+             "t_past_horizon", "array_t_negative", "array_t_past_horizon"],
+    )
+    def test_rejects_out_of_domain(self, s, r, w, t, start):
+        with pytest.raises(DomainError):
+            propagate(s, r, w, t, start)
 
 
 class TestLinearScheduleCoefficients:

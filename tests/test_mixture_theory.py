@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 import root_oracle
 from cfglab.acceptance import _linear_moment_ode_oracle, _sample_path_oracle
 from cfglab.errors import DomainError
+from cfglab.joint_gaussian import propagate
 from cfglab.mixture_theory import (
     CONDITIONAL,
     GUIDED,
-    GuidedMoments,
     MixtureTheoryParams,
-    _horizon_free,
     assemble_trajectory,
-    conditional_phase_moments,
     delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
-    guided_phase_moments,
     sanity_schedule_speciation,
     speciation_time,
     typical_overlaps,
@@ -83,7 +80,7 @@ class TestZetaTypical:
 
     def test_mean_path_overlaps_come_from_guided_moments(self):
         t, sigma2, w = 0.7, 0.5, 1.0
-        a = guided_phase_moments(t, math.inf, sigma2, w).mean_coeff
+        a, _ = propagate(sigma2, sigma2 + 1.0, w, t)
         assert typical_overlaps(t, sigma2, w) == ((a - 1.0) ** 2, a * a)
 
     def test_monotone_on_the_bracketing_interval(self):
@@ -161,8 +158,10 @@ class TestArrayClosedForms:
     @pytest.mark.parametrize(
         "name,form",
         [
-            ("mean_coeff", lambda t, w: _horizon_free(t, 0.5, w)[0]),
-            ("variance", lambda t, w: _horizon_free(t, 0.5, w)[1]),
+            ("mean_coeff", lambda t, w: propagate(0.5, 1.5, w, t)[0]),
+            ("variance", lambda t, w: propagate(0.5, 1.5, w, t)[1]),
+            ("seeded_mean_coeff", lambda t, w: propagate(0.5, 1.5, w, t, (1e8, 0.0, 1e8))[0]),
+            ("seeded_variance", lambda t, w: propagate(0.5, 1.5, w, t, (1e8, 0.0, 1e8))[1]),
             ("q1", lambda t, w: typical_overlaps(t, 0.5, w)[0]),
             ("q2", lambda t, w: typical_overlaps(t, 0.5, w)[1]),
             ("zeta_typical", lambda t, w: zeta_typical(t, 0.5, w)),
@@ -180,7 +179,7 @@ class TestArrayClosedForms:
     def test_guided_forms_match_scalar_oracle(self, sigma2, w):
         # root_oracle writes a(t) and s^2(t) in g = sigma2 + t and log1p(1/g),
         # independently of the joint-Gaussian lambda and Lambda
-        a, v = _horizon_free(_ARRAY_TIMES, sigma2, w)
+        a, v = propagate(sigma2, sigma2 + 1.0, w, _ARRAY_TIMES)
         oracle_a = [root_oracle.mean_coeff(float(t), sigma2, w) for t in _ARRAY_TIMES]
         oracle_v = [root_oracle.variance(float(t), sigma2, w) for t in _ARRAY_TIMES]
         np.testing.assert_allclose(a, oracle_a, rtol=1e-13, atol=0.0)
@@ -248,63 +247,60 @@ def test_sample_path_switch_matches_scalar_scan_and_bisection(w):
 
 
 class TestGuidedPhaseMoments:
+    """The guided phase: ``propagate`` at (s, r) = (sigma2, sigma2 + 1)."""
+
     def test_unguided_marginal(self):
         for t in (0.0, 0.8, 7.0):
-            m = guided_phase_moments(t, math.inf, 0.5, 0.0)
-            assert m.mean_coeff == pytest.approx(1.0, abs=1e-14)
-            assert m.variance == pytest.approx(0.5 + t, rel=1e-14)
-            assert m.phase == GUIDED
+            a, v = propagate(0.5, 1.5, 0.0, t)
+            assert a == pytest.approx(1.0, abs=1e-14)
+            assert v == pytest.approx(0.5 + t, rel=1e-14)
 
     def test_reference_point(self):
-        m = guided_phase_moments(0.0, math.inf, 0.5, 1.0)
-        assert m.mean_coeff == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert m.variance == pytest.approx(0.2407407407, abs=1e-9)
+        a, v = propagate(0.5, 1.5, 1.0, 0.0)
+        assert a == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert v == pytest.approx(0.2407407407, abs=1e-9)
 
     def test_finite_horizon_converges_to_limit(self):
-        limit = guided_phase_moments(0.4, math.inf, 0.5, 1.0)
-        init = GuidedMoments(t=1e6, mean_coeff=0.0, variance=1e6, phase=GUIDED)
-        finite = guided_phase_moments(0.4, 1e6, 0.5, 1.0, init=init)
-        assert finite.mean_coeff == pytest.approx(limit.mean_coeff, abs=1e-4)
-        assert finite.variance == pytest.approx(limit.variance, abs=1e-4)
+        limit = propagate(0.5, 1.5, 1.0, 0.4)
+        finite = propagate(0.5, 1.5, 1.0, 0.4, (1e6, 0.0, 1e6))
+        assert finite[0] == pytest.approx(limit[0], abs=1e-4)
+        assert finite[1] == pytest.approx(limit[1], abs=1e-4)
 
     @pytest.mark.parametrize("w", [-0.3, 0.0, 1.0, 2.5])
     def test_finite_horizon_matches_moment_ode(self, w):
         # RK4 on the guided-phase moment ODEs from (a, v) = (0, T) at T = 10
         sigma2, T, t = 0.5, 10.0, 0.3
         a, v = _linear_moment_ode_oracle(sigma2, Linear(w, 0.0), t, horizon=T, n_steps=4000)
-        init = GuidedMoments(t=T, mean_coeff=0.0, variance=T, phase=GUIDED)
-        m = guided_phase_moments(t, T, sigma2, w, init=init)
-        assert m.mean_coeff == pytest.approx(a, rel=1e-9)
-        assert m.variance == pytest.approx(v, rel=1e-9)
+        mean, var = propagate(sigma2, sigma2 + 1.0, w, t, (T, 0.0, T))
+        assert mean == pytest.approx(a, rel=1e-9)
+        assert var == pytest.approx(v, rel=1e-9)
 
     def test_large_time_behaviour(self):
         # mean coefficient saturates at 1+w; variance grows like t
         for w in (0.0, 1.5):
-            m = guided_phase_moments(1e6, math.inf, 0.5, w)
-            assert m.mean_coeff == pytest.approx(1.0 + w, rel=1e-4)
-            assert m.variance / 1e6 == pytest.approx(1.0, rel=1e-4)
+            a, v = propagate(0.5, 1.5, w, 1e6)
+            assert a == pytest.approx(1.0 + w, rel=1e-4)
+            assert v / 1e6 == pytest.approx(1.0, rel=1e-4)
 
     def test_domain_checks(self):
-        init = GuidedMoments(t=1.0, mean_coeff=0.0, variance=1.0, phase=GUIDED)
         with pytest.raises(DomainError):
-            guided_phase_moments(2.0, 1.0, 0.5, 1.0)
+            propagate(0.5, 1.5, 1.0, 2.0, (1.0, 0.0, 1.0))
         with pytest.raises(DomainError):
-            guided_phase_moments(0.0, math.inf, 0.5, -0.5)
+            propagate(0.5, 1.5, -0.5, 0.0)
         with pytest.raises(DomainError):
-            guided_phase_moments(0.0, 1.0, 0.5, -0.5, init=init)
+            propagate(0.5, 1.5, -0.5, 0.0, (1.0, 0.0, 1.0))
 
 
 class TestConditionalPhaseMoments:
+    """The conditional phase: ``propagate`` at w = 0, seeded at the switch."""
+
     def test_exact_marginal_is_fixed_point(self):
-        init = GuidedMoments(t=2.0, mean_coeff=1.0, variance=2.5, phase=CONDITIONAL)
-        out = conditional_phase_moments(0.3, 2.0, 0.5, init)
-        assert out.mean_coeff == pytest.approx(1.0, abs=1e-14)
-        assert out.variance == pytest.approx(0.8, rel=1e-14)
+        a, v = propagate(0.5, 1.5, 0.0, 0.3, (2.0, 1.0, 2.5))
+        assert a == pytest.approx(1.0, abs=1e-14)
+        assert v == pytest.approx(0.8, rel=1e-14)
 
     def test_start_time_returns_init(self):
-        init = GuidedMoments(t=2.0, mean_coeff=1.2, variance=1.0, phase=GUIDED)
-        out = conditional_phase_moments(2.0, 2.0, 0.5, init)
-        assert (out.mean_coeff, out.variance) == (1.2, 1.0)
+        assert propagate(0.5, 1.5, 0.0, 2.0, (2.0, 1.2, 1.0)) == (1.2, 1.0)
 
     def test_matches_fine_step_euler_recursion(self):
         sigma2, t_start = 0.5, 2.0
@@ -315,27 +311,23 @@ class TestConditionalPhaseMoments:
             t = t_start - k * dt
             g = sigma2 + t
             a, v = a + dt * (1.0 - a) / g, (1.0 - dt / g) ** 2 * v + dt * (1.0 - dt / g)
-        init = GuidedMoments(t=t_start, mean_coeff=1.2, variance=1.0, phase=GUIDED)
-        out = conditional_phase_moments(0.0, t_start, sigma2, init)
-        assert out.mean_coeff == pytest.approx(a, abs=1e-3)
-        assert out.variance == pytest.approx(v, abs=1e-3)
+        mean, var = propagate(sigma2, sigma2 + 1.0, 0.0, 0.0, (t_start, 1.2, 1.0))
+        assert mean == pytest.approx(a, abs=1e-3)
+        assert var == pytest.approx(v, abs=1e-3)
 
     @pytest.mark.parametrize("t_start", [1e-6, 0.3, 1.7, 1e3, 1e8])
     @pytest.mark.parametrize("sigma2", [0.05, 0.5, 2.0])
     def test_matches_scalar_oracle(self, t_start, sigma2):
         a0, v0 = 1.3, 0.7 * (sigma2 + t_start)
-        init = GuidedMoments(t=t_start, mean_coeff=a0, variance=v0, phase=GUIDED)
         for t in t_start * np.linspace(0.0, 1.0, 41):
-            out = conditional_phase_moments(float(t), t_start, sigma2, init)
+            mean, var = propagate(sigma2, sigma2 + 1.0, 0.0, float(t), (t_start, a0, v0))
             a, v = root_oracle.conditional_moments(float(t), t_start, sigma2, a0, v0)
-            assert out.phase == CONDITIONAL
-            assert out.mean_coeff == pytest.approx(a, rel=1e-13, abs=0.0)
-            assert out.variance == pytest.approx(v, rel=1e-13, abs=0.0)
+            assert mean == pytest.approx(a, rel=1e-13, abs=0.0)
+            assert var == pytest.approx(v, rel=1e-13, abs=0.0)
 
     def test_rejects_future_time(self):
-        init = GuidedMoments(t=1.0, mean_coeff=1.0, variance=1.0, phase=GUIDED)
         with pytest.raises(DomainError):
-            conditional_phase_moments(1.5, 1.0, 0.5, init)
+            propagate(0.5, 1.5, 0.0, 1.5, (1.0, 1.0, 1.0))
 
 
 class TestAssembleTrajectory:
@@ -394,8 +386,8 @@ class TestAssembleTrajectory:
             t_s = speciation_time(params)
             lo = 1e-3 if t_s is None else float(t_s)
             for t in np.geomspace(max(lo, 1e-3), 1e3, 40):
-                m = guided_phase_moments(float(t), math.inf, 0.5, w)
-                q2 = m.mean_coeff**2 + m.variance
+                a, v = propagate(0.5, 1.5, w, float(t))
+                q2 = a**2 + v
                 g = 0.5 + float(t)
                 f = (
                     beta
@@ -472,14 +464,13 @@ class TestLinearScheduleMoments:
         # O(omega); the mean keeps an O(1) contribution from backward times
         # of order exp(1/omega), so no analogous statement holds for it.
         for sigma2, w0 in ((0.5, 0.3), (0.75, -0.2)):
-            ref = guided_phase_moments(0.0, math.inf, sigma2, w0).variance
+            _, ref = propagate(sigma2, sigma2 + 1.0, w0, 0.0)
             got = guided_moments_linear_schedule(0.0, sigma2, Linear(w0, 1e-4)).variance
             assert got == pytest.approx(ref, abs=1e-3)
 
     def test_omega_zero_delegates_to_constant(self):
-        ref = guided_phase_moments(0.3, math.inf, 0.5, 0.4)
         got = guided_moments_linear_schedule(0.3, 0.5, Linear(0.4, 0.0))
-        assert got.mean_coeff == ref.mean_coeff and got.variance == ref.variance
+        assert (got.mean_coeff, got.variance) == propagate(0.5, 1.5, 0.4, 0.3)
 
     def test_phase_diagram_cell_signs(self):
         # w0 = -0.5, omega = 2 at sigma2 = 0.75: expanded mean, shrunk variance

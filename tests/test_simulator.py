@@ -54,6 +54,10 @@ class TestSampleCentroids:
         assert mode_count(0.5, 20) == 22026
         with pytest.raises(BudgetError):
             mode_count(0.6, 20)
+        with pytest.raises(BudgetError):
+            mode_count(1.0, 1000)  # exp(1000) overflows a float
+        with pytest.raises(DomainError):
+            mode_count(math.nan, 20)
 
 
 class TestPhiloxStreams:
