@@ -19,23 +19,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .joint_gaussian import (
-    Lambda_coeff,
-    covariance_matrix,
-    exact_scores,
-    guided_moments,
-    guided_score_batch,
-    lambda_coeff,
-    propagate,
-    random_model,
-)
+from .joint_gaussian import exact_scores, guided_moments, guided_score_batch, propagate, random_model
 from .mixture_theory import (
     DistortionReport,
     MixtureTheoryParams,
+    _relative_deltas,
     _report,
     _switch_root,
     assemble_trajectory,
-    delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
     sanity_schedule_speciation,
@@ -77,8 +68,8 @@ def criterion_1_zero_guidance() -> tuple[bool, str]:
         sigma2 = float(rng.uniform(0.05, 2.0))
         beta = float(rng.uniform(0.0, 1.2))
         t = float(rng.uniform(0.0, 5.0))
-        t_s = speciation_time(MixtureTheoryParams(sigma2, beta, Constant(0.0)))
-        dm, dv = delta_estimators_constant(t, sigma2, 0.0, t_s)
+        trajectory, _ = assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(0.0)), [t])
+        dm, dv = _relative_deltas(trajectory[0], sigma2)
         worst = max(worst, abs(dm), abs(dv))
     if worst >= 1e-9:
         return False, f"mixture w=0 distortion reached {worst:.3e} (>= 1e-9)"
@@ -87,11 +78,8 @@ def criterion_1_zero_guidance() -> tuple[bool, str]:
         model = random_model(7, seed)
         for t in (0.0, 0.3, 2.0):
             for s, r in zip(model.s, model.r):
-                worst_j = max(
-                    worst_j,
-                    abs(lambda_coeff(s, r, 0.0, t) - 1.0),
-                    abs(Lambda_coeff(s, r, 0.0, t) - 1.0),
-                )
+                mean_coeff, variance = propagate(s, r, 0.0, t)
+                worst_j = max(worst_j, abs(mean_coeff - 1.0), abs(variance / (s + t) - 1.0))
     if worst_j > 1e-12:
         return False, f"joint w=0 coefficients off by {worst_j:.3e} (> 1e-12)"
     return True, f"max |delta| {worst:.1e}, max |coeff-1| {worst_j:.1e}"
@@ -110,8 +98,9 @@ def criterion_2_expansion_contraction() -> tuple[bool, str]:
     t = rng.uniform(0.0, 10.0, n)
     min_lam, max_big = math.inf, -math.inf
     for k in range(n):
-        min_lam = min(min_lam, lambda_coeff(s[k], r[k], w[k], t[k]))
-        max_big = max(max_big, Lambda_coeff(s[k], r[k], w[k], t[k]))
+        mean_coeff, variance = propagate(s[k], r[k], w[k], t[k])
+        min_lam = min(min_lam, mean_coeff)
+        max_big = max(max_big, variance / (s[k] + t[k]))
     ok = min_lam >= 1.0 - 1e-12 and max_big <= 1.0 + 1e-12
     return ok, f"min lambda {min_lam:.15f}, max Lambda {max_big:.15f}"
 
@@ -201,7 +190,8 @@ def criterion_4_joint_vs_sim() -> tuple[bool, str]:
     n, var_tol = 20000, 0.05
     model = random_model(9, seed=0)
     mean_ratios, frob_ratios = [], []
-    frob_cond = float(np.linalg.norm(covariance_matrix(model, model.s)))
+    # The basis is orthonormal, so the Frobenius norm of V diag(e) V^T is |e|_2.
+    frob_cond = float(np.linalg.norm(model.s))
     worst_z, worst_var = 0.0, 0.0
     for w in (0.0, 1.0, 2.0):
         sched = Constant(w)
@@ -216,9 +206,7 @@ def criterion_4_joint_vs_sim() -> tuple[bool, str]:
         var_sim = (samples @ model.basis).var(axis=0, ddof=1)
         worst_var = max(worst_var, float(np.max(np.abs(var_sim / cov_eigs - 1.0))))
         mean_ratios.append(float(np.linalg.norm(mean_sim) / np.linalg.norm(model.mu)))
-        frob_ratios.append(
-            float(np.linalg.norm(covariance_matrix(model, var_sim)) / frob_cond)
-        )
+        frob_ratios.append(float(np.linalg.norm(var_sim)) / frob_cond)
     monotone = all(a < b for a, b in zip(mean_ratios, mean_ratios[1:])) and all(
         a > b for a, b in zip(frob_ratios, frob_ratios[1:])
     )

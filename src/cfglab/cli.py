@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CfgLabError, DomainError
-from .joint_gaussian import coefficients, guided_moments, guided_score_batch, random_model
+from .joint_gaussian import guided_moments, guided_score_batch, moments, random_model
 from .mixture_theory import (
     MixtureTheoryParams,
     _absolute_deltas,
@@ -292,8 +292,8 @@ def _theory_rows_joint(ns: argparse.Namespace) -> list[list[object]]:
     times = sorted(_parse_times(ns.t))
     rows: list[list[object]] = []
     for t in times:
-        lam, big = coefficients(ns.s, ns.r, sched, t)
-        rows.append([t, lam, big * (ns.s + t), lam - 1.0, big - 1.0, ""])
+        mean_coeff, variance = moments(ns.s, ns.r, sched, t)
+        rows.append([t, mean_coeff, variance, mean_coeff - 1.0, variance / (ns.s + t) - 1.0, ""])
     return rows
 
 

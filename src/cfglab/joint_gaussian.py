@@ -36,19 +36,16 @@ from .special_math import BetaArgs, FloatOrArray, incomplete_beta_definite
 
 __all__ = [
     "JointGaussianModel",
-    "lambda_coeff",
-    "Lambda_coeff",
     "lambda_formula",
     "Lambda_formula",
     "propagate",
     "lambda_coeff_linear",
     "Lambda_coeff_linear",
-    "coefficients",
+    "moments",
     "guided_moments",
     "exact_scores",
     "guided_score_batch",
     "random_model",
-    "covariance_matrix",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -96,7 +93,7 @@ def _check_sr_t(s: float, r: float, t: float) -> None:
 
 def lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r, unchecked
-    (``lambda_coeff`` checks), through expm1/log1p so s -> r stays exact.
+    (``propagate`` checks), through expm1/log1p so s -> r stays exact.
 
     A float t is evaluated with ``math`` (whose log1p/expm1 round differently
     from numpy's), an array of times elementwise with numpy."""
@@ -106,7 +103,7 @@ def lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArra
 
 def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(1+2w)/(r+t)^(2w) - (r+t)) / ((2w+1)(s-r)) for s != r, unchecked
-    (``Lambda_coeff`` checks); t as in ``lambda_formula``."""
+    (``propagate`` checks); t as in ``lambda_formula``."""
     xp = np if isinstance(t, np.ndarray) else math
     k = 2.0 * w + 1.0
     return (r + t) * xp.expm1(k * xp.log1p((s - r) / (r + t))) / (k * (s - r))
@@ -115,54 +112,31 @@ def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArra
 def propagate(
     s: float, r: float, w: float, t: FloatOrArray, start: Optional[tuple[float, float, float]] = None
 ) -> tuple[FloatOrArray, FloatOrArray]:
-    """(mean_coeff, variance) of the pair 0 < s < r at time t (a float or an
+    """(mean_coeff, variance) of the pair 0 < s <= r at time t (a float or an
     array, checked elementwise) under constant w > -1/2: the horizon-free
-    (lambda, (s+t) Lambda), or seeded by ``start=(T, mean_T, var_T)`` at a
-    finite T >= t, whose gap to them the linear dynamics decay by
-    D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for the variance)."""
-    if not (0.0 < s < r):
-        raise DomainError(f"need 0 < s < r, got s={s}, r={r}")
+    (lambda, (s+t) Lambda), whose s = r limit is (1+w, s+t), or seeded by
+    ``start=(T, mean_T, var_T)`` at a finite T >= t, whose gap to them the
+    linear dynamics decay by D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for
+    the variance).  w = 0 gives lambda = Lambda = 1 to rounding, and w >= 0
+    implies lambda >= 1 and Lambda <= 1."""
+    if not (0.0 < s <= r):
+        raise DomainError(f"need 0 < s <= r, got s={s}, r={r}")
     if w <= -0.5:
         raise DomainError(f"constant guidance requires w > -1/2, got {w}")
     T = math.inf if start is None else start[0]
     lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)  # floats skip numpy call overhead
     if lo < 0.0 or hi > T:
         raise DomainError(f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}")
-    mean, var = lambda_formula(s, r, w, t), (s + t) * Lambda_formula(s, r, w, t)
+    if s == r:
+        mean, var = (np.full(t.shape, 1.0 + w) if isinstance(t, np.ndarray) else 1.0 + w), s + t
+    else:
+        mean, var = lambda_formula(s, r, w, t), (s + t) * Lambda_formula(s, r, w, t)
     if start is None:
         return mean, var
     _, mean_T, var_T = start
     free_mean_T, free_var_T = propagate(s, r, w, T)
     decay = ((s + t) / (s + T)) ** (1.0 + w) * ((r + T) / (r + t)) ** w
     return mean + decay * (mean_T - free_mean_T), var + decay * decay * (var_T - free_var_T)
-
-
-def lambda_coeff(s: float, r: float, w: float, t: float) -> float:
-    """Mean amplification factor at time t under constant guidance w.
-
-    ``lambda_formula`` for s != r and 1+w at s = r; w = 0 returns 1 to
-    rounding and w >= 0 implies lambda >= 1.
-    """
-    _check_sr_t(s, r, t)
-    if w <= -0.5:
-        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
-    if s == r:
-        return 1.0 + w
-    return lambda_formula(s, r, w, t)
-
-
-def Lambda_coeff(s: float, r: float, w: float, t: float) -> float:
-    """Variance contraction factor at time t under constant guidance w.
-
-    ``Lambda_formula`` for s != r and 1 at s = r; w = 0 returns 1 to rounding
-    and w >= 0 implies Lambda <= 1.
-    """
-    _check_sr_t(s, r, t)
-    if w <= -0.5:
-        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
-    if s == r:
-        return 1.0
-    return Lambda_formula(s, r, w, t)
 
 
 def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
@@ -185,7 +159,7 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     _check_sr_t(s, r, t)
     w0, omega = sched.w0, sched.omega
     if omega == 0.0:
-        return lambda_coeff(s, r, w0, t)
+        return propagate(s, r, w0, t)[0]
     if s == r:
         raise DomainError(
             "mean coefficient diverges for s = r under a ramped schedule with "
@@ -213,7 +187,7 @@ def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     _check_sr_t(s, r, t)
     w0, omega = sched.w0, sched.omega
     if omega == 0.0:
-        return Lambda_coeff(s, r, w0, t)
+        return propagate(s, r, w0, t)[1] / (s + t)
     if s == r:
         return 1.0
     f_t = (s + t) / (r + t)
@@ -228,11 +202,13 @@ def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     return pref * integral
 
 
-def coefficients(s: float, r: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
-    """(lambda, Lambda) of the eigenvalue pair (s, r) at time t under sched."""
+def moments(s: float, r: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
+    """(mean_coeff, variance) of the eigenvalue pair (s, r) at time t under
+    sched, horizon -> inf: ``propagate`` for a constant schedule, lambda and
+    (s+t) Lambda from the incomplete Beta forms for a ramped one."""
     if isinstance(sched, Constant):
-        return lambda_coeff(s, r, sched.w, t), Lambda_coeff(s, r, sched.w, t)
-    return lambda_coeff_linear(s, r, sched, t), Lambda_coeff_linear(s, r, sched, t)
+        return propagate(s, r, sched.w, t)
+    return lambda_coeff_linear(s, r, sched, t), (s + t) * Lambda_coeff_linear(s, r, sched, t)
 
 
 def guided_moments(
@@ -243,16 +219,9 @@ def guided_moments(
     mean = sum_i lambda_i(t) (v_i . mu) v_i ; covariance eigenvalue i equals
     Lambda_i(t) * (s_i + t).
     """
-    lam, big = np.array([coefficients(si, ri, sched, t) for si, ri in zip(model.s, model.r)]).T
-    m = model.basis.T @ model.mu
-    mean = model.basis @ (lam * m)
-    cov_eigenvalues = big * (model.s + t)
+    mean_coeff, cov_eigenvalues = np.array([moments(si, ri, sched, t) for si, ri in zip(model.s, model.r)]).T
+    mean = model.basis @ (mean_coeff * (model.basis.T @ model.mu))
     return mean, cov_eigenvalues
-
-
-def covariance_matrix(model: JointGaussianModel, cov_eigenvalues: np.ndarray) -> np.ndarray:
-    """Materialise a dense covariance from its eigenvalues in the model basis."""
-    return (model.basis * np.asarray(cov_eigenvalues)) @ model.basis.T
 
 
 def exact_scores(

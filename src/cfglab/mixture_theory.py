@@ -67,7 +67,6 @@ __all__ = [
     "typical_overlaps",
     "speciation_time",
     "assemble_trajectory",
-    "delta_estimators_constant",
     "guided_moments_linear_schedule",
     "delta_estimators_linear",
     "sanity_schedule_speciation",
@@ -91,7 +90,7 @@ class MixtureTheoryParams:
     def __post_init__(self) -> None:
         if not (self.sigma2 > 0):
             raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.beta < 0:
+        if not (self.beta >= 0):
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
 
@@ -140,11 +139,15 @@ def zeta(
     q1 = lim |x - c1|^2 / d and q2 = lim |x|^2 / d locate x;
     zeta = lam*q1/(2g) - log(1 + lam/g)/2 - lam*q2/(2(g+lam)), g = sigma2 + t.
     Elementwise over array arguments; DomainError if any element has
-    sigma2 + t <= 0 or sigma2 + t + lam <= 0.
+    sigma2 + t <= 0 or sigma2 + t + lam <= 0.  A float t is checked without
+    numpy; the log1p stays numpy's for floats too, since ``math.log1p``
+    rounds differently and would move the switch roots and the number of
+    Brent steps that reach them.
     """
     g = sigma2 + t
-    if np.any(g + min(lam, 0.0) <= 0):  # g + lam <= g when lam <= 0: one test covers both
-        raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got min g={np.min(g)}, lam={lam}")
+    g_min = g.min() if isinstance(g, np.ndarray) else g  # floats skip numpy call overhead
+    if g_min + min(lam, 0.0) <= 0:  # g + lam <= g when lam <= 0: one test covers both
+        raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got min g={g_min}, lam={lam}")
     return (
         lam * q1 / (2.0 * g)
         - 0.5 * np.log1p(lam / g)
@@ -267,18 +270,6 @@ def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
     return m.mean_coeff - 1.0, (m.variance - (sigma2 + m.t)) / (sigma2 + m.t)
 
 
-def delta_estimators_constant(
-    t: float, sigma2: float, w: float, t_s: Optional[float]
-) -> tuple[float, float]:
-    """Distortion pair (delta_mu, delta_sigma2) at time t for constant w.
-
-    Guided branch for t above the switch time (or when there is none),
-    conditional branch seeded at t_s below it; delta_sigma2 is relative to
-    the conditional variance sigma^2 + t.
-    """
-    return _relative_deltas(_moments_at(t, t_s, sigma2, w), sigma2)
-
-
 # ---------------------------------------------------------------------------
 # Linear (ramped) schedules, guided-only regime
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:
     conditional: zero distortion) and None when the closed form lands at or
     below zero (guided throughout).
     """
-    if beta < 0:
+    if not (beta >= 0):
         raise DomainError(f"beta must be >= 0, got {beta}")
     if beta <= 0.5:
         return math.inf

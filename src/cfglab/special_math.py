@@ -26,7 +26,6 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 
 __all__ = [
-    "QuadratureSettings",
     "BetaArgs",
     "adaptive_quad",
     "incomplete_beta_definite",
@@ -37,19 +36,12 @@ __all__ = [
 FloatOrArray = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Error-control knobs for the adaptive integrators."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+# Error control of ``adaptive_quad``: it stops once the summed error estimate
+# is below max(_ABS_TOL, _REL_TOL * |integral|) and raises ConvergenceError
+# rather than split more than _MAX_PANELS panels.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_PANELS = 2000
 
 
 @dataclass(frozen=True)
@@ -110,16 +102,11 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     return half * k15, max(err, half * abs(k15) * 1e-16)
 
 
-def adaptive_quad(
-    integrand: Callable[[float], float],
-    lo: float,
-    hi: float,
-    settings: QuadratureSettings = QuadratureSettings(),
-) -> float:
+def adaptive_quad(integrand: Callable[[float], float], lo: float, hi: float) -> float:
     """Globally adaptive G7/K15 integration of ``integrand`` on [lo, hi].
 
     The interval with the largest error estimate is bisected until the summed
-    error drops below max(abs_tol, rel_tol * |integral|).
+    error drops below max(_ABS_TOL, _REL_TOL * |integral|).
     """
     if not (lo <= hi):
         raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
@@ -131,10 +118,10 @@ def adaptive_quad(
     total_val, total_err = val, err
     n_panels = 1
     tick = 1
-    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total_val)):
-        if n_panels >= settings.max_subdivisions:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total_val)):
+        if n_panels >= _MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature needs more than {settings.max_subdivisions} panels "
+                f"quadrature needs more than {_MAX_PANELS} panels "
                 f"(error estimate {total_err:.3e} on [{lo}, {hi}])"
             )
         neg_err, _, a, b, v = heappop(heap)
@@ -156,9 +143,7 @@ def adaptive_quad(
     return total_val
 
 
-def incomplete_beta_definite(
-    args: BetaArgs, settings: QuadratureSettings = QuadratureSettings()
-) -> float:
+def incomplete_beta_definite(args: BetaArgs) -> float:
     """Definite incomplete Beta integral int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr.
 
     Integrable endpoint singularities (0 < a < 1 at r=0, 0 < b < 1 at r=1) are
@@ -168,9 +153,10 @@ def incomplete_beta_definite(
     a, b, f1, f2 = args.a, args.b, args.f1, args.f2
     if f1 == f2:
         return 0.0
+    am1, bm1 = a - 1.0, b - 1.0
 
     def integrand(r: float) -> float:
-        return r ** (a - 1.0) * (1.0 - r) ** (b - 1.0)
+        return r**am1 * (1.0 - r) ** bm1
 
     # Split at 1/2 so each endpoint is treated by the piece that owns it.
     mid = 0.5
@@ -180,16 +166,9 @@ def incomplete_beta_definite(
         if f1 == 0.0 and a < 1.0:
             # r = v**(1/a):  dr r^(a-1) = dv / a
             inv_a = 1.0 / a
-            pieces.append(
-                adaptive_quad(
-                    lambda v: (1.0 - v**inv_a) ** (b - 1.0) / a,
-                    0.0,
-                    left_hi**a,
-                    settings,
-                )
-            )
+            pieces.append(adaptive_quad(lambda v: (1.0 - v**inv_a) ** bm1 / a, 0.0, left_hi**a))
         else:
-            pieces.append(adaptive_quad(integrand, f1, left_hi, settings))
+            pieces.append(adaptive_quad(integrand, f1, left_hi))
     right_lo = max(f1, mid)
     if right_lo < f2:
         u_hi = 1.0 - right_lo
@@ -197,23 +176,9 @@ def incomplete_beta_definite(
         if u_lo == 0.0 and b < 1.0:
             # 1-r = v**(1/b):  dr (1-r)^(b-1) = dv / b
             inv_b = 1.0 / b
-            pieces.append(
-                adaptive_quad(
-                    lambda v: (1.0 - v**inv_b) ** (a - 1.0) / b,
-                    0.0,
-                    u_hi**b,
-                    settings,
-                )
-            )
+            pieces.append(adaptive_quad(lambda v: (1.0 - v**inv_b) ** am1 / b, 0.0, u_hi**b))
         else:
-            pieces.append(
-                adaptive_quad(
-                    lambda u: (1.0 - u) ** (a - 1.0) * u ** (b - 1.0),
-                    u_lo,
-                    u_hi,
-                    settings,
-                )
-            )
+            pieces.append(adaptive_quad(lambda u: (1.0 - u) ** am1 * u**bm1, u_lo, u_hi))
     return math.fsum(pieces)
 
 

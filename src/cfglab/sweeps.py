@@ -4,9 +4,9 @@ Each sweep takes its two swept axes as the ``AxisSpec`` arguments
 ``axis1, axis2`` after its fixed parameters, walks the grid in row-major
 order (axis1 outer, axis2 inner), evaluates the closed-form theory per cell,
 and classifies the cell by the signs of the distortion pair.  Cells where
-the theory evaluation fails numerically are emitted with an error flag
-instead of aborting the sweep (grid edges probe the validity limits of the
-formulas).
+the theory evaluation fails numerically are emitted with the region label
+``failed`` and the error text instead of aborting the sweep (grid edges
+probe the validity limits of the formulas).
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
 
     Both deltas positive: separability_and_diversity (the beneficial cell);
     negative mean shift: mean_collapse; otherwise a negative variance shift:
-    variance_shrink; both negligible: no_distortion.
+    variance_shrink; both negligible: no_distortion.  A cell whose theory
+    evaluation failed has no deltas and is labelled failed (``_run_grid``).
     """
     if abs(delta_mu) < _ZERO_TOL and abs(delta_sigma2) < _ZERO_TOL:
         return "no_distortion"
@@ -93,14 +94,15 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
 def _run_grid(
     axis1: AxisSpec, axis2: AxisSpec, cell: Callable[[float, float], SweepRow]
 ) -> list[SweepRow]:
-    """Evaluate every cell in row-major order; a failed cell becomes an error row."""
+    """Evaluate every cell in row-major order; a failed cell becomes a row
+    labelled failed that carries the error text."""
     rows = []
     for a in axis1.values().tolist():
         for b in axis2.values().tolist():
             try:
                 rows.append(cell(a, b))
             except CfgLabError as exc:
-                rows.append(SweepRow(a, b, None, None, None, "no_distortion", error=str(exc)))
+                rows.append(SweepRow(a, b, None, None, None, "failed", error=str(exc)))
     return rows
 
 
@@ -119,14 +121,14 @@ def _constant_guidance_row(axis1: float, w: float, sigma2: float, beta: float) -
 
 def sweep_beta_w(sigma2: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
-    if sigma2 <= 0:
+    if not (sigma2 > 0):
         raise DomainError("sigma2 must be positive")
     return _run_grid(axis1, axis2, lambda beta, w: _constant_guidance_row(beta, w, sigma2, beta))
 
 
 def sweep_sigma_w(beta: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (sigma2, w) at fixed beta."""
-    if beta < 0:
+    if not (beta >= 0):
         raise DomainError("beta must be >= 0")
     return _run_grid(axis1, axis2, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
 
@@ -141,7 +143,7 @@ def sweep_schedule_phase_diagram(
     reported.  delta_sigma2 is the absolute variance deviation (see
     ``delta_estimators_linear``).
     """
-    if sigma2 <= 0:
+    if not (sigma2 > 0):
         raise DomainError("sigma2 must be positive")
 
     def cell(w0: float, omega: float) -> SweepRow:

@@ -209,6 +209,16 @@ class TestSweepCommand:
             "splot 'ps.csv' every ::1 using 1:2:4 with points pt 5 ps 2 palette\n"
         )
 
+    def test_failed_cells_have_their_own_label(self, tmp_path):
+        # constant guidance needs w > -1/2, so the w = -0.9 cells fail; the
+        # w = 0 cells are genuinely undistorted
+        main(["--out-dir", str(tmp_path), "sweep", "beta-w", "--sigma2", "0.5",
+              "--w-min", "-0.9", "--w-max", "0", "--w-points", "2", "--beta-points", "2",
+              "--out", "g.csv"])
+        _, rows = _rows(tmp_path / "g.csv")
+        labels = {(float(row[1]), row[5], row[6] != "") for row in rows}
+        assert labels == {(-0.9, "failed", True), (0.0, "no_distortion", False)}
+
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["sweep", "joint-schedule", "--r", "1", "--s", "0.6",
                 "--w0-points", "3", "--omega-points", "3", "--out", "g.csv"]
@@ -258,6 +268,26 @@ class TestExitCodes:
                    "--out", "s.csv"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "nan", "--w", "1"],
+            ["theory", "mixture", "--sigma2", "nan", "--beta", "0.5", "--w", "1"],
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "-1", "--w", "1"],
+            ["sweep", "sigma-w", "--beta", "nan", "--sigma2-points", "2", "--w-points", "2"],
+            ["sweep", "beta-w", "--sigma2", "nan", "--beta-points", "2", "--w-points", "2"],
+            ["sweep", "schedule", "--sigma2", "nan", "--w0-points", "2", "--omega-points", "2"],
+        ],
+        ids=["theory_beta_nan", "theory_sigma2_nan", "theory_beta_negative", "sigma_w_beta_nan",
+             "beta_w_sigma2_nan", "schedule_sigma2_nan"],
+    )
+    def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
+        rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"cfglab: numerical failure in {argv[0]}: ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_validation_failure_is_three(self, tmp_path, monkeypatch, capsys):
         import cfglab.acceptance as acc

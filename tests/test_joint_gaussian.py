@@ -8,50 +8,72 @@ from hypothesis import strategies as st
 from cfglab.errors import DomainError
 from cfglab.joint_gaussian import (
     JointGaussianModel,
-    Lambda_coeff,
     Lambda_coeff_linear,
-    covariance_matrix,
     exact_scores,
     guided_moments,
     guided_score_batch,
-    lambda_coeff,
     lambda_coeff_linear,
+    moments,
     propagate,
     random_model,
 )
 from cfglab.schedule import Constant, Linear, guidance_level
-from cfglab.special_math import QuadratureSettings
-from quad_oracle import improper_quad
+from quad_oracle import improper_quad, tight_quadrature
+
+
+def _coefficients(s, r, w, t):
+    """(lambda, Lambda) of the horizon-free ``propagate``: Lambda = variance / (s+t)."""
+    mean_coeff, variance = propagate(s, r, w, t)
+    return mean_coeff, variance / (s + t)
 
 
 class TestConstantCoefficients:
+    """``propagate``'s horizon-free moments as the pair (lambda, Lambda)."""
+
     def test_unguided_is_identity(self):
         for t in (0.0, 0.7, 12.0):
-            assert lambda_coeff(0.6, 1.0, 0.0, t) == pytest.approx(1.0, abs=1e-14)
-            assert Lambda_coeff(0.6, 1.0, 0.0, t) == pytest.approx(1.0, abs=1e-14)
+            lam, big = _coefficients(0.6, 1.0, 0.0, t)
+            assert lam == pytest.approx(1.0, abs=1e-14)
+            assert big == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_pair(self):
-        assert lambda_coeff(1.0, 1.0, 2.5, 0.3) == 3.5
-        assert Lambda_coeff(1.0, 1.0, 2.5, 0.3) == 1.0
+        # the s = r limit (1+w, s+t), exactly, for a float, an array and a seed
+        assert propagate(1.0, 1.0, 2.5, 0.3) == (3.5, 1.3)
+        t = np.array([0.0, 0.3, 4.0])
+        mean, var = propagate(1.0, 1.0, 2.5, t)
+        np.testing.assert_array_equal(mean, np.full(3, 3.5))
+        np.testing.assert_array_equal(var, 1.0 + t)
+        # seeded at T = 2 the decay is ((1+t)/3)^3.5 (3/(1+t))^2.5 = (1+t)/3
+        mean, var = propagate(1.0, 1.0, 2.5, 0.5, (2.0, 1.5, 2.0))
+        assert mean == pytest.approx(3.5 + 0.5 * (1.5 - 3.5), rel=1e-14)
+        assert var == pytest.approx(1.5 + 0.25 * (2.0 - 3.0), rel=1e-14)
+
+    def test_equal_pair_is_the_limit_of_nearby_pairs(self):
+        for start in (None, (2.0, 1.5, 2.0)):
+            at_limit = propagate(1.0, 1.0, 2.5, 0.5, start)
+            nearby = propagate(1.0 - 1e-9, 1.0, 2.5, 0.5, start)
+            assert at_limit == pytest.approx(nearby, abs=1e-8)
 
     def test_reference_point(self):
-        assert lambda_coeff(0.6, 1.0, 1.0, 0.0) == pytest.approx(1.6, abs=1e-12)
-        assert Lambda_coeff(0.6, 1.0, 1.0, 0.0) == pytest.approx(0.653333333333, abs=1e-10)
+        lam, big = _coefficients(0.6, 1.0, 1.0, 0.0)
+        assert lam == pytest.approx(1.6, abs=1e-12)
+        assert big == pytest.approx(0.653333333333, abs=1e-10)
 
     def test_near_degenerate_pair_is_stable(self):
         # s -> r approaches 1+w / 1 linearly in r-s, without cancellation
         # noise on top (the expm1/log1p form keeps full precision there)
         for eps in (1e-6, 1e-10, 1e-13):
-            assert lambda_coeff(1.0 - eps, 1.0, 2.0, 5.0) == pytest.approx(3.0, abs=10 * eps + 1e-14)
-            assert Lambda_coeff(1.0 - eps, 1.0, 2.0, 5.0) == pytest.approx(1.0, abs=10 * eps + 1e-14)
+            lam, big = _coefficients(1.0 - eps, 1.0, 2.0, 5.0)
+            assert lam == pytest.approx(3.0, abs=10 * eps + 1e-14)
+            assert big == pytest.approx(1.0, abs=10 * eps + 1e-14)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            lambda_coeff(1.2, 1.0, 1.0, 0.0)  # s > r
+            propagate(1.2, 1.0, 1.0, 0.0)  # s > r
         with pytest.raises(DomainError):
-            lambda_coeff(0.5, 1.0, 1.0, -0.1)  # t < 0
+            propagate(0.5, 1.0, 1.0, -0.1)  # t < 0
         with pytest.raises(DomainError):
-            Lambda_coeff(0.5, 1.0, -0.5, 0.0)  # w <= -1/2
+            propagate(0.5, 1.0, -0.5, 0.0)  # w <= -1/2
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -61,9 +83,9 @@ class TestConstantCoefficients:
         t=st.floats(0.0, 10.0),
     )
     def test_expansion_contraction_law(self, r, u, w, t):
-        s = u * r
-        assert lambda_coeff(s, r, w, t) >= 1.0 - 1e-12
-        assert Lambda_coeff(s, r, w, t) <= 1.0 + 1e-12
+        lam, big = _coefficients(u * r, r, w, t)
+        assert lam >= 1.0 - 1e-12
+        assert big <= 1.0 + 1e-12
 
 
 def _lambda_time_domain(s, r, w0, omega, t):
@@ -78,8 +100,8 @@ def _lambda_time_domain(s, r, w0, omega, t):
 
     p = omega * (r - s)
     tail = lambda T: 3.0 * omega * T ** (-p) / p
-    q = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=4000)
-    return z_t * improper_quad(integrand, t, q, tail)
+    with tight_quadrature():
+        return z_t * improper_quad(integrand, t, tail)
 
 
 def _Lambda_time_domain(s, r, w0, omega, t):
@@ -92,8 +114,8 @@ def _Lambda_time_domain(s, r, w0, omega, t):
 
     p = 2.0 * omega * (r - s)
     tail = lambda T: 2.0 * T ** (-p - 1.0) / (p + 1.0)
-    q = QuadratureSettings(abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=4000)
-    return z2 * improper_quad(integrand, t, q, tail)
+    with tight_quadrature():
+        return z2 * improper_quad(integrand, t, tail)
 
 
 class TestPropagate:
@@ -127,7 +149,6 @@ class TestPropagate:
     @pytest.mark.parametrize(
         "s,r,w,t,start",
         [
-            (1.0, 1.0, 1.0, 0.5, None),  # s = r
             (1.2, 1.0, 1.0, 0.5, None),  # s > r
             (0.0, 1.0, 1.0, 0.5, None),  # s = 0
             (0.6, 1.0, -0.5, 0.5, None),  # w = -1/2
@@ -137,12 +158,29 @@ class TestPropagate:
             (0.6, 1.0, 1.0, np.array([0.0, 1.0, -1e-9]), None),
             (0.6, 1.0, 1.0, np.array([0.0, 2.0 + 1e-9, 1.0]), (2.0, 0.0, 2.0)),
         ],
-        ids=["s_eq_r", "s_gt_r", "s_zero", "w_half", "w_below_half_seeded", "t_negative",
+        ids=["s_gt_r", "s_zero", "w_half", "w_below_half_seeded", "t_negative",
              "t_past_horizon", "array_t_negative", "array_t_past_horizon"],
     )
     def test_rejects_out_of_domain(self, s, r, w, t, start):
         with pytest.raises(DomainError):
             propagate(s, r, w, t, start)
+
+
+class TestMoments:
+    """``moments`` is the one dispatch on the schedule kind."""
+
+    @pytest.mark.parametrize("s,r", [(0.6, 1.0), (1.0, 1.0), (0.05, 2.5)])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 7.0])
+    @pytest.mark.parametrize("w", [-0.4, 0.0, 1.3])
+    def test_constant_is_propagate(self, s, r, t, w):
+        assert moments(s, r, Constant(w), t) == propagate(s, r, w, t)
+
+    @pytest.mark.parametrize("s,r", [(0.6, 1.0), (0.25, 1.25)])
+    @pytest.mark.parametrize("t", [0.0, 0.3, 7.0])
+    @pytest.mark.parametrize("sched", [Linear(-0.75, 1.0), Linear(0.5, 2.0), Linear(0.4, 0.0)])
+    def test_linear_is_the_incomplete_beta_pair(self, s, r, t, sched):
+        want = (lambda_coeff_linear(s, r, sched, t), (s + t) * Lambda_coeff_linear(s, r, sched, t))
+        assert moments(s, r, sched, t) == want
 
 
 class TestLinearScheduleCoefficients:
@@ -154,12 +192,9 @@ class TestLinearScheduleCoefficients:
             t = float(rng.uniform(0.0, 3.0))
             w = float(rng.uniform(-0.4, 2.0))
             sched = Linear(w0=w, omega=0.0)
-            assert lambda_coeff_linear(s, r, sched, t) == pytest.approx(
-                lambda_coeff(s, r, w, t), abs=1e-8
-            )
-            assert Lambda_coeff_linear(s, r, sched, t) == pytest.approx(
-                Lambda_coeff(s, r, w, t), abs=1e-8
-            )
+            lam, big = _coefficients(s, r, w, t)
+            assert lambda_coeff_linear(s, r, sched, t) == pytest.approx(lam, abs=1e-8)
+            assert Lambda_coeff_linear(s, r, sched, t) == pytest.approx(big, abs=1e-8)
 
     @pytest.mark.parametrize(
         "s,r,w0,omega,t",
@@ -232,7 +267,8 @@ class TestGuidedMoments:
         for w in (0.0, 1.0, 2.0):
             mean, eigs = guided_moments(model, Constant(w), 0.0)
             mean_norms.append(np.linalg.norm(mean))
-            frob_norms.append(np.linalg.norm(covariance_matrix(model, eigs)))
+            # the basis is orthonormal: |V diag(e) V^T|_F = |e|_2
+            frob_norms.append(np.linalg.norm(eigs))
         assert mean_norms[0] < mean_norms[1] < mean_norms[2]
         assert frob_norms[0] > frob_norms[1] > frob_norms[2]
 

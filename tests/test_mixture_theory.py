@@ -15,8 +15,8 @@ from cfglab.mixture_theory import (
     CONDITIONAL,
     GUIDED,
     MixtureTheoryParams,
+    _relative_deltas,
     assemble_trajectory,
-    delta_estimators_constant,
     delta_estimators_linear,
     guided_moments_linear_schedule,
     sanity_schedule_speciation,
@@ -409,6 +409,14 @@ class TestAssembleTrajectory:
 
 
 class TestDeltaEstimatorsConstant:
+    """Constant-guidance deltas at one time t: ``_relative_deltas`` of the
+    one-point trajectory ``assemble_trajectory(params, [t])``."""
+
+    @staticmethod
+    def _deltas(t, sigma2, beta, w):
+        (m,), _ = assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(w)), [t])
+        return _relative_deltas(m, sigma2)
+
     @pytest.mark.parametrize("beta", [1.2, 0.0, 0.3], ids=["guided", "conditional", "switch"])
     def test_deltas_match_trajectory_in_every_branch(self, beta):
         # t_s is None at beta = 1.2, math.inf at beta = 0 and finite at 0.3
@@ -424,22 +432,27 @@ class TestDeltaEstimatorsConstant:
         moments, _ = assemble_trajectory(params, times)
         for t, m in zip(times, moments):
             expected = (m.mean_coeff - 1.0, (m.variance - (sigma2 + t)) / (sigma2 + t))
-            assert delta_estimators_constant(t, sigma2, w, t_s) == expected
+            assert self._deltas(t, sigma2, beta, w) == expected
 
-    def test_zero_guidance(self):
+    @pytest.mark.parametrize("beta", [1.2, 0.0, 0.3], ids=["guided", "conditional", "switch"])
+    def test_zero_guidance(self, beta):
         for t in (0.0, 0.7, 3.0):
-            dm, dv = delta_estimators_constant(t, 0.5, 0.0, None)
+            dm, dv = self._deltas(t, 0.5, beta, 0.0)
             assert abs(dm) < 1e-12 and abs(dv) < 1e-12
 
     def test_guided_branch_reference(self):
-        dm, dv = delta_estimators_constant(0.0, 0.5, 1.0, None)
+        # beta = 1.2 has no switch at w = 1: guided throughout
+        dm, dv = self._deltas(0.0, 0.5, 1.2, 1.0)
         assert dm == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert dv == pytest.approx(-0.5185185185, abs=1e-9)
 
     def test_branches_agree_at_the_seam(self):
-        t_s = 1.7
-        guided = delta_estimators_constant(t_s, 0.5, 1.0, None)
-        seamed = delta_estimators_constant(t_s, 0.5, 1.0, t_s)
+        # guided at t_s, conditional one float below it
+        sigma2, params = 0.5, MixtureTheoryParams(0.5, 0.3, Constant(1.0))
+        t_s = assemble_trajectory(params, [0.0])[1].t_speciation
+        below, at = assemble_trajectory(params, [math.nextafter(t_s, 0.0), t_s])[0]
+        assert (below.phase, at.phase) == (CONDITIONAL, GUIDED)
+        seamed, guided = _relative_deltas(below, sigma2), _relative_deltas(at, sigma2)
         assert guided[0] == pytest.approx(seamed[0], abs=1e-10)
         assert guided[1] == pytest.approx(seamed[1], abs=1e-10)
 
@@ -489,3 +502,9 @@ class TestSanityScheduleSpeciation:
     def test_negative_values_clipped(self):
         assert sanity_schedule_speciation(0.6, 1.0) is None
 
+    @pytest.mark.parametrize("beta", [-0.1, math.nan])
+    def test_rejects_negative_or_nan_beta(self, beta):
+        with pytest.raises(DomainError):
+            sanity_schedule_speciation(0.3, beta)
+        with pytest.raises(DomainError):
+            MixtureTheoryParams(0.3, beta, Constant(1.0))

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfglab import special_math
 from cfglab.errors import BracketError, ConvergenceError, DomainError
-from cfglab.special_math import (
-    BetaArgs,
-    QuadratureSettings,
-    adaptive_quad,
-    bisection_root,
-    incomplete_beta_definite,
-)
+from cfglab.special_math import BetaArgs, adaptive_quad, bisection_root, incomplete_beta_definite
 from quad_oracle import improper_quad
 
 
@@ -33,16 +28,11 @@ class TestAdaptiveQuad:
         with pytest.raises(DomainError):
             adaptive_quad(math.exp, 1.0, 0.0)
 
-    def test_subdivision_exhaustion(self):
+    def test_subdivision_exhaustion(self, monkeypatch):
         nasty = lambda x: math.sin(1.0 / (x + 1e-14)) / math.sqrt(x + 1e-14)
+        monkeypatch.setattr(special_math, "_MAX_PANELS", 4)
         with pytest.raises(ConvergenceError):
-            adaptive_quad(nasty, 0.0, 1.0, QuadratureSettings(max_subdivisions=4))
-
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSettings(max_subdivisions=0)
+            adaptive_quad(nasty, 0.0, 1.0)
 
 
 class TestImproperQuad:
@@ -120,11 +110,10 @@ class TestIncompleteBeta:
     )
     def test_additivity_over_adjacent_intervals(self, a, b, cuts):
         f1, f2, f3 = sorted(cuts)
-        q = QuadratureSettings()
-        left = incomplete_beta_definite(BetaArgs(a, b, f1, f2), q)
-        right = incomplete_beta_definite(BetaArgs(a, b, f2, f3), q)
-        whole = incomplete_beta_definite(BetaArgs(a, b, f1, f3), q)
-        assert left + right == pytest.approx(whole, abs=2 * q.abs_tol + 2e-12)
+        left = incomplete_beta_definite(BetaArgs(a, b, f1, f2))
+        right = incomplete_beta_definite(BetaArgs(a, b, f2, f3))
+        whole = incomplete_beta_definite(BetaArgs(a, b, f1, f3))
+        assert left + right == pytest.approx(whole, abs=2 * special_math._ABS_TOL + 2e-12)
 
     def test_monotone_in_upper_limit(self):
         vals = [

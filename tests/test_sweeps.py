@@ -141,6 +141,8 @@ class TestJointScheduleSweep:
         flagged = [r for r in table if r.error]
         clean = [r for r in table if not r.error]
         assert flagged and clean
+        assert all(r.region_label == "failed" for r in flagged)
+        assert all(r.region_label != "failed" for r in clean)
 
     def test_input_validation(self):
         axes = (AxisSpec("w0", -1.0, 1.0, 2), AxisSpec("omega", 0.5, 1.0, 2))
