@@ -76,7 +76,7 @@ class JointGaussianModel:
             raise DomainError("need 0 < s_i <= r_i for every eigendirection")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", np.minimum(s, r))  # propagate needs s <= r
         object.__setattr__(self, "mu", mu)
 
     @property

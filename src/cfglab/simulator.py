@@ -46,9 +46,10 @@ __all__ = [
 # block), deliberately independent of the worker count.
 _BLOCK = 1024
 
-# Rows per score tile: a float32 logit tile at M = e^10 modes is 11 MB, where
-# a whole block's would be 90 MB.
-_TILE = 128
+# Rows per score tile: a float32 logit tile at M = e^10 modes is 5.6 MB, where
+# a whole block's would be 90 MB.  It divides _BLOCK, so tiles stay aligned
+# with the blocks.
+_TILE = 64
 
 # Purpose tags for Philox key derivation.
 _TAG_INIT = 1
@@ -193,7 +194,7 @@ def make_mixture_score_fn(
     drift; any other shape raises DomainError.  The unconditional score is
     the softmax-weighted pull toward the centroids, i.e. attention with the
     samples as queries and the centroids as keys and values.  It runs as one
-    fused kernel over 128-row tiles: the augmented query [x/g, 1/g] times the
+    fused kernel over 64-row tiles: the augmented query [x/g, 1/g] times the
     keys [C^T; -|c|^2/2] gives the logits (x.c - |c|^2/2)/g in one GEMM, and
     the exponentiated, max-shifted tile times the values [C, 1] gives the
     weighted sum and, in its last column, the normaliser in a second GEMM.

@@ -280,6 +280,15 @@ class TestGuidedMoments:
         with pytest.raises(DomainError):
             JointGaussianModel(basis=q, r=np.ones(4), s=1.5 * np.ones(4), mu=np.zeros(4))
 
+    def test_s_within_the_slack_above_r_is_the_s_equals_r_limit(self):
+        # The constructor accepts s_i <= r_i + 1e-15 and propagate needs s <= r:
+        # s = 1 + 2.2e-16 must give the s = r limit (1 + w, s + t), not raise.
+        for mu in ([0.0, 0.0], [1.0, 1.0]):
+            model = JointGaussianModel(np.eye(2), [1.0, 1.0], [1.0 + 2.2e-16, 0.5], mu)
+            assert model.s[0] == 1.0
+            mean, eigs = guided_moments(model, Constant(1.0), 0.0)
+            assert mean[0] == 2.0 * mu[0] and eigs[0] == 1.0
+
     def test_random_model_deterministic(self):
         a, b = random_model(7, seed=42), random_model(7, seed=42)
         np.testing.assert_array_equal(a.basis, b.basis)

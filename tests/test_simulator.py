@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from cfglab.joint_gaussian import guided_score_batch, random_model
 from cfglab.schedule import Constant
 from cfglab.simulator import (
     SimConfig,
+    _BLOCK,
     _TAG_STEP,
+    _TILE,
     _openblas_threads,
     _philox,
     _rekey,
@@ -155,10 +158,10 @@ class TestMixtureScore:
             S = make_mixture_score_fn(inst, Constant(w), softmax_dtype=dtype)(X, t)
             assert np.all(np.linalg.norm(S, axis=1) <= bound + 1e-12), dtype
 
-    @pytest.mark.parametrize("rows", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("rows", [1, _TILE - 1, _TILE, _TILE + 1, 300])
     def test_tiles_match_row_by_row_softmax(self, rows):
-        # Row counts around the 128-row tile: a short last tile must not
-        # reuse stale logits or write outside its rows.
+        # Row counts around the tile: a short last tile must not reuse stale
+        # logits or write outside its rows.
         d, M, w, t = 8, 600, 1.3, 0.4
         inst = sample_centroids(d, M, seed=21, sigma2=0.5)
         rng = np.random.default_rng(rows)
@@ -172,6 +175,39 @@ class TestMixtureScore:
         f32 = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)(X, t)
         unfused_err = np.abs(_unfused_float32_drift(inst, w, X, t) - ref).max()
         assert np.abs(f32 - ref).max() <= 8.0 * unfused_err
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 40.0])
+    @pytest.mark.parametrize("dtype", SOFTMAX_DTYPES)
+    def test_batch_rows_match_their_block_calls_bit_for_bit(self, dtype, t):
+        # The simulator may call the score on several 1024-row blocks at once,
+        # so tiles must not straddle a block boundary.  At d = 15, M = 1808 a
+        # misaligned tile (100 rows) rounds some rows differently; at d = 20,
+        # M = 3000 it does not, so that size would not tell them apart.
+        assert _BLOCK % _TILE == 0
+        d, M, rows = 15, mode_count(0.5, 15), 2500
+        inst = sample_centroids(d, M, seed=4, sigma2=0.5)
+        rng = np.random.default_rng(6)
+        X = inst.centroids[rng.integers(0, M, rows)] + math.sqrt(0.5 + t) * rng.standard_normal((rows, d))
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)
+        batch = fn(X, t)
+        blocks = [fn(X[lo:lo + _BLOCK], t) for lo in range(0, rows, _BLOCK)]
+        np.testing.assert_array_equal(batch.view(np.uint64), np.concatenate(blocks).view(np.uint64))
+
+    def test_logits_held_one_tile_at_a_time(self):
+        # One block's call holds its logits a tile at a time, never as one
+        # (1024, M) array (33 MB at d = 12, M = 8103 in float32).
+        d, M = 12, mode_count(0.75, 12)
+        inst = sample_centroids(d, M, seed=3, sigma2=0.5)
+        X = inst.centroids[np.random.default_rng(2).integers(0, M, _BLOCK)]
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=np.float32)
+        tracemalloc.start()
+        try:
+            fn(X, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_logit_bytes = _BLOCK * M * np.dtype(np.float32).itemsize
+        assert peak < block_logit_bytes / 4
 
     def test_rejects_anything_but_an_n_by_d_batch(self):
         # Every branch: zero guidance, a single mode, and the softmax.
