@@ -31,13 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import CfgLabError, DomainError
 from .joint_gaussian import guided_moments, guided_score_batch, moments, random_model
-from .mixture_theory import (
-    MixtureTheoryParams,
-    _absolute_deltas,
-    _relative_deltas,
-    assemble_trajectory,
-    guided_moments_linear_schedule,
-)
+from .mixture_theory import MixtureTheoryParams, _relative_deltas, assemble_trajectory
 from .schedule import Constant, GuidanceSchedule, Linear
 from .simulator import (
     SimConfig,
@@ -276,15 +270,10 @@ def _resolved_params(ns: argparse.Namespace) -> dict:
 
 
 def _theory_rows_mixture(ns: argparse.Namespace) -> list[list[object]]:
-    sched = _schedule_from(ns)
-    times = sorted(_parse_times(ns.t))
-    if isinstance(sched, Constant):
-        moments, _ = assemble_trajectory(MixtureTheoryParams(ns.sigma2, ns.beta, sched), times)
-        deltas = _relative_deltas
-    else:
-        moments = [guided_moments_linear_schedule(t, ns.sigma2, sched) for t in times]
-        deltas = _absolute_deltas
-    return [[m.t, m.mean_coeff, m.variance, *deltas(m, ns.sigma2), m.phase] for m in moments]
+    params = MixtureTheoryParams(ns.sigma2, ns.beta, _schedule_from(ns))
+    trajectory, _ = assemble_trajectory(params, sorted(_parse_times(ns.t)))
+    return [[m.t, m.mean_coeff, m.variance, *_relative_deltas(m, ns.sigma2), m.phase]
+            for m in trajectory]
 
 
 def _theory_rows_joint(ns: argparse.Namespace) -> list[list[object]]:
@@ -320,7 +309,7 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
     outputs = []
     out = os.path.join(ns.out_dir, ns.out)
     for t in config.checkpoints:
-        emp = measure_distortion(samples[t], inst.target, ns.sigma2, seed=ns.seed)
+        emp = measure_distortion(samples[t], inst.target, ns.sigma2 + t, seed=ns.seed)
         rows.append([t, emp.delta_mu_hat, emp.delta_mu_se, emp.delta_sigma2_hat,
                      emp.delta_sigma2_se, emp.n_samples])
         if ns.dump_samples:

@@ -21,10 +21,14 @@ conditional phase; distortion at sampling time t=0 is summarised by
 
 By isotropy the d-dimensional moments reduce to a scalar pair
 (mean_coeff a(t), variance s^2(t)) with mean(t) = a(t) * c1.  Both phases
-are ``joint_gaussian.propagate`` at (s, r) = (sigma^2, sigma^2 + 1): the
-guided phase is its horizon-free a(t) = lambda(t), s^2(t) = (sigma^2 + t)
-Lambda(t), and the conditional phase is the same propagator at w = 0, seeded
-at t_s by the guided moments there.
+are joint-Gaussian moments at (s, r) = (sigma^2, sigma^2 + 1): the guided
+phase is the horizon-free a(t) = lambda(t), s^2(t) = (sigma^2 + t) Lambda(t)
+of the schedule (``joint_gaussian.propagate`` for a constant w, the
+incomplete-Beta forms for a ramp w0 + omega t), and the conditional phase is
+the propagator at w = 0, seeded at t_s by the guided moments there.  One
+``assemble_trajectory`` serves every schedule.  The switch is computed for a
+constant schedule only; a ramp's trajectory has t_s = None, the guided-only
+regime of a class density large enough that the process never switches.
 
 Conventions fixed by exactly solvable limits (see the test suite):
 * zeta_t is evaluated on the mean path, q1 = (a-1)^2, q2 = a^2 with
@@ -67,7 +71,6 @@ __all__ = [
     "typical_overlaps",
     "speciation_time",
     "assemble_trajectory",
-    "guided_moments_linear_schedule",
     "delta_estimators_linear",
     "sanity_schedule_speciation",
 ]
@@ -117,6 +120,8 @@ class DistortionReport:
     ``t_speciation`` is None when the process never leaves the guided phase
     (no transition: distortion persists) and math.inf when the transition
     happens beyond any finite time (always conditional: zero distortion).
+    For a ramped schedule it is always None: no switch is computed, and the
+    report is that of the guided-only regime.
     Switch times are positive, so the phase at t = 0 is guided exactly when
     ``t_speciation`` is None.
     """
@@ -225,44 +230,58 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise closed-form moments (constant guidance)
+# Piecewise closed-form moments
 # ---------------------------------------------------------------------------
 
 
-def _moments_at(t: float, t_s: Optional[float], sigma2: float, w: float) -> GuidedMoments:
+def _guided_phase(sigma2: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
+    """Horizon-free guided (mean_coeff, variance) at (s, r) = (sigma2, sigma2 + 1):
+    ``propagate`` for a constant schedule, lambda and (s+t) Lambda of the
+    incomplete Beta forms for a ramp.  The ramp forms are looked up in this
+    module, where the per-layer tracer wraps them."""
+    s, r = sigma2, sigma2 + 1.0
+    if isinstance(sched, Constant):
+        return propagate(s, r, sched.w, t)
+    return lambda_coeff_linear(s, r, sched, t), (s + t) * Lambda_coeff_linear(s, r, sched, t)
+
+
+def _moments_at(
+    t: float, t_s: Optional[float], sigma2: float, sched: GuidanceSchedule
+) -> GuidedMoments:
     """Piecewise moments at time t for switch time t_s (``DistortionReport``'s
     sentinels): guided at and above t_s or throughout when t_s is None, the
     exact conditional marginal when t_s is math.inf, otherwise the guided
     propagator at w = 0 seeded by the guided moments at t_s."""
-    s, r = sigma2, sigma2 + 1.0
     if t_s is None or t >= t_s:
-        return GuidedMoments(t, *propagate(s, r, w, t), GUIDED)
+        return GuidedMoments(t, *_guided_phase(sigma2, sched, t), GUIDED)
     if math.isinf(t_s):
         return GuidedMoments(t, 1.0, sigma2 + t, CONDITIONAL)
-    return GuidedMoments(t, *propagate(s, r, 0.0, t, (t_s, *propagate(s, r, w, t_s))), CONDITIONAL)
+    start = (t_s, *_guided_phase(sigma2, sched, t_s))
+    return GuidedMoments(t, *propagate(sigma2, sigma2 + 1.0, 0.0, t, start), CONDITIONAL)
 
 
-def _report(t_s: Optional[float], sigma2: float, w: float) -> DistortionReport:
-    """Distortion at t = 0 of the piecewise trajectory switching at t_s."""
-    delta_mu, delta_sigma2 = _relative_deltas(_moments_at(0.0, t_s, sigma2, w), sigma2)
-    return DistortionReport(delta_mu, delta_sigma2, t_s)
+def _report(at_zero: GuidedMoments, sigma2: float, t_s: Optional[float]) -> DistortionReport:
+    """Distortion of the t = 0 moments of the trajectory switching at t_s."""
+    return DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
 
 
 def assemble_trajectory(
     params: MixtureTheoryParams, t_grid: list[float]
 ) -> tuple[list[GuidedMoments], DistortionReport]:
     """Piecewise trajectory: guided from the infinite horizon down to
-    max(0, t_s), then conditional to 0; distortion measured at t = 0."""
-    if not isinstance(params.schedule, Constant):
-        raise DomainError("assemble_trajectory takes a constant schedule")
+    max(0, t_s), then conditional to 0; distortion measured at t = 0.
+
+    A ramp has no switch computed (t_s = None: guided-only).  A t = 0 row of
+    the grid is reused for the report."""
     if any(t < 0 for t in t_grid):
         raise DomainError("t_grid times must be >= 0")
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be sorted ascending")
-    w = params.schedule.w
-    t_s = speciation_time(params)
-    trajectory = [_moments_at(t, t_s, params.sigma2, w) for t in t_grid]
-    return trajectory, _report(t_s, params.sigma2, w)
+    sched, sigma2 = params.schedule, params.sigma2
+    t_s = speciation_time(params) if isinstance(sched, Constant) else None
+    trajectory = [_moments_at(t, t_s, sigma2, sched) for t in t_grid]
+    at_zero = trajectory[0] if t_grid and t_grid[0] == 0.0 else _moments_at(0.0, t_s, sigma2, sched)
+    return trajectory, _report(at_zero, sigma2, t_s)
 
 
 def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
@@ -270,39 +289,17 @@ def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
     return m.mean_coeff - 1.0, (m.variance - (sigma2 + m.t)) / (sigma2 + m.t)
 
 
-# ---------------------------------------------------------------------------
-# Linear (ramped) schedules, guided-only regime
-# ---------------------------------------------------------------------------
-
-
-def guided_moments_linear_schedule(t: float, sigma2: float, sched: Linear) -> GuidedMoments:
-    """Horizon -> inf guided moments under w(t) = w0 + omega*t.
-
-    The guided-phase drift coincides with the jointly-Gaussian case at
-    eigenvalue pair (s, r) = (sigma2, sigma2 + 1), so the incomplete-Beta
-    machinery is reused with that pair (omega = 0 gives the constant-w
-    moments); valid in the guided-only regime (class density large enough
-    that no phase switch occurs).
-    """
-    a = lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
-    big = Lambda_coeff_linear(sigma2, sigma2 + 1.0, sched, t)
-    return GuidedMoments(t=t, mean_coeff=a, variance=(sigma2 + t) * big, phase=GUIDED)
-
-
-def _absolute_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
-    """(delta_mu, delta_sigma2) of m, delta_sigma2 = s^2(t) - (sigma^2 + t)."""
-    return m.mean_coeff - 1.0, m.variance - (sigma2 + m.t)
-
-
 def delta_estimators_linear(t: float, sigma2: float, sched: Linear) -> tuple[float, float]:
     """Distortion pair at time t under a linear schedule (guided-only regime).
 
     Here delta_sigma2 is the absolute variance deviation s^2(t) - (sigma2+t),
-    not the relative one used on the constant-guidance path: the solvable
-    linear-ramp benchmark pins the pair (delta_mu, delta_sigma2)(0) to
-    (sigma2, (1-2*sigma2)/3), which fixes this normalisation.
+    not the relative one of ``assemble_trajectory``: the solvable linear-ramp
+    benchmark pins the pair (delta_mu, delta_sigma2)(0) to
+    (sigma2, (1-2*sigma2)/3), which fixes this normalisation for
+    ``sweep schedule``.
     """
-    return _absolute_deltas(guided_moments_linear_schedule(t, sigma2, sched), sigma2)
+    m = _moments_at(t, None, sigma2, sched)
+    return m.mean_coeff - 1.0, m.variance - (sigma2 + t)
 
 
 def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:

@@ -407,7 +407,10 @@ def measure_distortion(
 
     delta_mu_hat = c1.(mean - c1)/d, delta_sigma2_hat = (s2_hat - sigma2)/sigma2
     with s2_hat the per-coordinate unbiased sample variance averaged over
-    coordinates.  The bootstrap stream is keyed separately from the SDE noise.
+    coordinates.  sigma2 is the reference variance: for samples at time t,
+    pass the per-mode variance plus t, the conditional marginal's variance
+    there, as the theory does.  The bootstrap stream is keyed separately
+    from the SDE noise.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:

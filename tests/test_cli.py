@@ -65,30 +65,26 @@ class TestTheoryCommand:
         assert rc == 0
         _, rows = _rows(tmp_path / "ramp.csv")
         assert float(rows[0][3]) == pytest.approx(0.25, abs=1e-8)
-        assert float(rows[0][4]) == pytest.approx(1.0 / 6.0, abs=1e-8)
+        # relative to sigma2: the solvable ramp's (1 - 2 sigma2)/3 over sigma2
+        assert float(rows[0][4]) == pytest.approx(2.0 / 3.0, abs=1e-8)
 
-    def test_mixture_rows_evaluate_their_moments_once(self, tmp_path, monkeypatch):
-        # Four rows: the constant path evaluates the moments once per row plus
-        # once at t = 0 for the distortion report, the ramped path once per row.
-        import cfglab.cli as cli
+    @pytest.mark.parametrize("schedule", [["--w", "1"], ["--w0", "-0.75", "--omega", "1"]],
+                             ids=["constant", "ramp"])
+    def test_mixture_rows_evaluate_their_moments_once(self, tmp_path, monkeypatch, schedule):
+        # Four rows, one evaluation each: the distortion report reuses the t = 0 row.
         import cfglab.mixture_theory as mt
 
         calls = []
-        for module, name in ((mt, "_moments_at"), (mt, "guided_moments_linear_schedule"),
-                             (cli, "guided_moments_linear_schedule")):
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls.append(_name)
-                return _fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
-        for schedule, expected in ((["--w", "1"], ["_moments_at"] * 5),
-                                   (["--w0", "-0.75", "--omega", "1"],
-                                    ["guided_moments_linear_schedule"] * 4)):
-            calls.clear()
-            rc = main(["--out-dir", str(tmp_path), "theory", "mixture", "--sigma2", "0.5",
-                       "--beta", "0.5", *schedule, "--t", "0,0.5,1,2"])
-            assert rc == 0
-            assert calls == expected
+        def counted(*args, _fn=mt._moments_at):
+            calls.append(args[0])
+            return _fn(*args)
+
+        monkeypatch.setattr(mt, "_moments_at", counted)
+        rc = main(["--out-dir", str(tmp_path), "theory", "mixture", "--sigma2", "0.5",
+                   "--beta", "0.5", *schedule, "--t", "0,0.5,1,2"])
+        assert rc == 0
+        assert calls == [0.0, 0.5, 1.0, 2.0]
 
 
 class TestManifests:
@@ -154,6 +150,19 @@ class TestSimulateCommand:
         dump_header, dump_rows = _rows(tmp_path / "s_samples_t0.csv")
         assert dump_header == "x_1,x_2,x_3"
         assert len(dump_rows) == 50
+
+    def test_checkpoint_variance_is_relative_to_the_marginal(self, tmp_path):
+        # At w = 0 the samples at time t follow the conditional marginal, of
+        # variance sigma2 + t, so delta_sigma2_hat is near 0 at every
+        # checkpoint, as the theory's is.
+        rc = main(["--seed", "3", "--out-dir", str(tmp_path), "simulate", "mixture",
+                   "--d", "8", "--beta", "0.3", "--sigma2", "0.5", "--w", "0", "--n", "2000",
+                   "--steps", "200", "--checkpoints", "0,1,5", "--out", "s.csv"])
+        assert rc == 0
+        _, rows = _rows(tmp_path / "s.csv")
+        assert sorted(float(row[0]) for row in rows) == [0.0, 1.0, 5.0]
+        for row in rows:
+            assert abs(float(row[3])) < 0.1, row
 
     def test_joint_comparison_table(self, tmp_path):
         rc = main(["--seed", "2", "--out-dir", str(tmp_path), "simulate", "joint",
@@ -275,12 +284,14 @@ class TestExitCodes:
             ["theory", "mixture", "--sigma2", "0.5", "--beta", "nan", "--w", "1"],
             ["theory", "mixture", "--sigma2", "nan", "--beta", "0.5", "--w", "1"],
             ["theory", "mixture", "--sigma2", "0.5", "--beta", "-1", "--w", "1"],
+            ["theory", "mixture", "--sigma2", "0.5", "--beta", "-1", "--w0", "0", "--omega", "1"],
             ["sweep", "sigma-w", "--beta", "nan", "--sigma2-points", "2", "--w-points", "2"],
             ["sweep", "beta-w", "--sigma2", "nan", "--beta-points", "2", "--w-points", "2"],
             ["sweep", "schedule", "--sigma2", "nan", "--w0-points", "2", "--omega-points", "2"],
         ],
-        ids=["theory_beta_nan", "theory_sigma2_nan", "theory_beta_negative", "sigma_w_beta_nan",
-             "beta_w_sigma2_nan", "schedule_sigma2_nan"],
+        ids=["theory_beta_nan", "theory_sigma2_nan", "theory_beta_negative",
+             "theory_ramp_beta_negative", "sigma_w_beta_nan", "beta_w_sigma2_nan",
+             "schedule_sigma2_nan"],
     )
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])

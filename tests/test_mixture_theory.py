@@ -18,7 +18,6 @@ from cfglab.mixture_theory import (
     _relative_deltas,
     assemble_trajectory,
     delta_estimators_linear,
-    guided_moments_linear_schedule,
     sanity_schedule_speciation,
     speciation_time,
     typical_overlaps,
@@ -458,11 +457,19 @@ class TestDeltaEstimatorsConstant:
 
 
 class TestLinearScheduleMoments:
+    """Ramped moments through ``assemble_trajectory``: a ramp has no switch,
+    so its trajectory is guided-only whatever beta is."""
+
+    @staticmethod
+    def _moments(t, sigma2, sched):
+        (m,), _ = assemble_trajectory(MixtureTheoryParams(sigma2, 1.0, sched), [t])
+        return m
+
     def test_solvable_ramp_moments(self):
         # w0 = sigma2 - 1, omega = 1: mean coefficient sigma2 + t + 1 and
         # variance (sigma2 + t + 1)/3
         for sigma2 in (0.1, 0.25, 0.4, 0.5):
-            m = guided_moments_linear_schedule(0.0, sigma2, Linear(sigma2 - 1.0, 1.0))
+            m = self._moments(0.0, sigma2, Linear(sigma2 - 1.0, 1.0))
             assert m.mean_coeff == pytest.approx(sigma2 + 1.0, abs=1e-9)
             assert m.variance == pytest.approx((sigma2 + 1.0) / 3.0, abs=1e-9)
 
@@ -478,17 +485,40 @@ class TestLinearScheduleMoments:
         # of order exp(1/omega), so no analogous statement holds for it.
         for sigma2, w0 in ((0.5, 0.3), (0.75, -0.2)):
             _, ref = propagate(sigma2, sigma2 + 1.0, w0, 0.0)
-            got = guided_moments_linear_schedule(0.0, sigma2, Linear(w0, 1e-4)).variance
+            got = self._moments(0.0, sigma2, Linear(w0, 1e-4)).variance
             assert got == pytest.approx(ref, abs=1e-3)
 
     def test_omega_zero_delegates_to_constant(self):
-        got = guided_moments_linear_schedule(0.3, 0.5, Linear(0.4, 0.0))
+        got = self._moments(0.3, 0.5, Linear(0.4, 0.0))
         assert (got.mean_coeff, got.variance) == propagate(0.5, 1.5, 0.4, 0.3)
 
     def test_phase_diagram_cell_signs(self):
         # w0 = -0.5, omega = 2 at sigma2 = 0.75: expanded mean, shrunk variance
         dm, dv = delta_estimators_linear(0.0, 0.75, Linear(-0.5, 2.0))
         assert dm > 0 and dv < 0
+
+    def test_report_is_guided_only(self):
+        # no switch is computed for a ramp: t_speciation is None at any beta
+        for beta in (0.0, 0.3, 100.0):
+            params = MixtureTheoryParams(0.25, beta, Linear(-0.75, 1.0))
+            (m,), rep = assemble_trajectory(params, [0.0])
+            assert m.phase == GUIDED and rep.t_speciation is None
+            assert (rep.delta_mu, rep.delta_sigma2) == _relative_deltas(m, 0.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.floats(-0.45, 5.0),
+        sigma2=st.floats(0.05, 2.0),
+        times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4),
+    )
+    def test_flat_ramp_equals_constant(self, w, sigma2, times):
+        # Linear(w, 0) and Constant(w) agree wherever the constant schedule
+        # has no switch either (beta large enough)
+        grid = sorted(times)
+        constant = MixtureTheoryParams(sigma2, 5.0, Constant(w))
+        assert speciation_time(constant) is None
+        flat = MixtureTheoryParams(sigma2, 5.0, Linear(w, 0.0))
+        assert assemble_trajectory(flat, grid) == assemble_trajectory(constant, grid)
 
 
 class TestSanityScheduleSpeciation:
