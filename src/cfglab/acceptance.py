@@ -5,6 +5,10 @@ Each criterion asserts the numerical tolerances stated in its docstring and
 reports its runtime next to the stated budget (budgets are targets measured
 on a desk-class machine; they are reported, not asserted, since wall time is
 hardware-dependent).
+
+The simulation criteria (3, 4 and 9) run ``cfglab simulate`` commands through
+``cli.main`` and read the CSVs they write, so ``validate`` checks the
+simulation path that users run, not a copy of it.
 """
 
 from __future__ import annotations
@@ -13,36 +17,28 @@ import contextlib
 import io
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .joint_gaussian import exact_scores, guided_moments, guided_score_batch, propagate, random_model
+from . import cli
+from .joint_gaussian import exact_scores, propagate, random_model
 from .mixture_theory import (
-    DistortionReport,
     MixtureTheoryParams,
-    _moments_at,
     _relative_deltas,
-    _report,
-    _switch_root,
     assemble_trajectory,
     delta_estimators_linear,
+    sample_path_report,
     sanity_schedule_speciation,
     speciation_time,
     zeta,
 )
 from .schedule import Constant, Linear, guidance_level
-from .simulator import (
-    SimConfig,
-    integrate_backward,
-    make_mixture_score_fn,
-    measure_distortion,
-    mode_count,
-    sample_centroids,
-)
-from .special_math import BetaArgs, FloatOrArray, incomplete_beta_definite
+from .simulator import make_mixture_score_fn, sample_centroids
+from .special_math import BetaArgs, incomplete_beta_definite
 from .sweeps import AxisSpec, sweep_schedule_phase_diagram
 
 
@@ -54,6 +50,25 @@ class CriterionResult:
     detail: str
     runtime_s: float
     budget_s: float
+
+
+def _simulate(argv: list[str]) -> str:
+    """Text of the CSV that ``cfglab <argv>``, a ``simulate`` command, writes
+    when run through ``cli.main`` in a temporary directory; the command's
+    stdout is kept out of ``validate``'s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main([*argv, "--out-dir", tmp, "--out", "sim.csv"])
+        if rc != 0:
+            raise RuntimeError(f"cfglab {' '.join(argv)} exited {rc}")
+        with open(os.path.join(tmp, "sim.csv")) as fh:
+            return fh.read()
+
+
+def _columns(csv_text: str) -> dict[str, np.ndarray]:
+    """The columns of a ``simulate`` CSV by header name, parsed as floats."""
+    header, *rows = (line.split(",") for line in csv_text.splitlines())
+    return dict(zip(header, np.array([[float(x) for x in row] for row in rows]).T))
 
 
 def criterion_1_zero_guidance() -> tuple[bool, str]:
@@ -110,14 +125,16 @@ def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
 
     w in {0, 0.5, 1}, d in {10, 15, 20} (M = round(exp(beta*d))), n = 5000.
     The reference places the phase switch where the samples make it
-    (``_sample_path_oracle``).  Asserted: |empirical - reference| <=
+    (``sample_path_report``).  Asserted: |empirical - reference| <=
     max(0.05, 3*SE) at d = 20 for both estimators, and, for at least 2 of the
     3 w values, no gap grows from one d to the next by more than three
     standard errors of the difference, gap(d') <= gap(d) +
     3*sqrt(SE_d^2 + SE_d'^2), for both estimators.  The conditioning centroid
     is rescaled to norm sqrt(d) so the comparison is not dominated by the
-    chi-square fluctuation of |c1|^2/d.  The simulations spread their sample
-    blocks over every core.
+    chi-square fluctuation of |c1|^2/d.  Each cell is one
+    ``simulate mixture --normalize-target`` run at seed 7 and T = 500 (its
+    softmax is float64 up to M = 4096 modes, float32 above), spreading its
+    sample blocks over every core (the default ``--workers``).
 
     ``assemble_trajectory`` places the switch on the mean path, whose
     overlaps drop the per-sample variance; that leaves an O(1) gap of
@@ -127,30 +144,25 @@ def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
     """
     sigma2, beta, seed, n = 0.5, 0.5, 7, 5000
     ws, ds = (0.0, 0.5, 1.0), (10, 15, 20)
-    refs = {}
+    refs = {}  # w -> (sample-path, mean-path) (delta_mu, delta_sigma2)
     for w in ws:
-        sample_path = _sample_path_oracle(sigma2, beta, w)
         _, mean_path = assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(w)), [0.0])
-        refs[w] = (
-            (sample_path.delta_mu, sample_path.delta_sigma2),
-            (mean_path.delta_mu, mean_path.delta_sigma2),
-        )
+        sample_path = sample_path_report(sigma2, beta, w)
+        refs[w] = [(r.delta_mu, r.delta_sigma2) for r in (sample_path, mean_path)]
     # (d, w) -> (gaps to the sample-path reference, their standard errors)
     gaps: dict[tuple[int, float], tuple[tuple[float, float], tuple[float, float]]] = {}
     tol_ok = True
     lines = []
     for d in ds:
-        M = mode_count(beta, d)
         for w in ws:
-            inst = sample_centroids(d, M, seed, sigma2=sigma2, normalize_target=True)
             steps = 1000 if w == 0.0 else 200
-            config = SimConfig(dim=d, n_samples=n, seed=seed, horizon_T=500.0, n_steps=steps)
-            score = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)
-            samples = integrate_backward(config, score, grid_offset=sigma2,
-                                         workers=os.cpu_count() or 1)[0.0]
-            emp = measure_distortion(samples, inst.target, sigma2, seed=seed)
-            est = (emp.delta_mu_hat, emp.delta_sigma2_hat)
-            se = (emp.delta_mu_se, emp.delta_sigma2_se)
+            row = _columns(_simulate([
+                "--seed", str(seed), "simulate", "mixture", "--d", str(d), "--beta", str(beta),
+                "--sigma2", str(sigma2), "--w", str(w), "--n", str(n), "--T", "500",
+                "--steps", str(steps), "--normalize-target",
+            ]))
+            est = (row["delta_mu_hat"][0], row["delta_sigma2_hat"][0])
+            se = (row["delta_mu_se"][0], row["delta_sigma2_se"][0])
             sample_ref, mean_ref = refs[w]
             gap = (abs(est[0] - sample_ref[0]), abs(est[1] - sample_ref[1]))
             gaps[(d, w)] = (gap, se)
@@ -184,27 +196,25 @@ def criterion_4_joint_vs_sim() -> tuple[bool, str]:
 
     d2 = 9 random model, w in {0, 1, 2}, n = 2e4: mean within 3 SE per
     coordinate, per-eigendirection variance within 5%, |mean_w|/|mu| strictly
-    increasing in w and the Frobenius-norm ratio strictly decreasing.  The
-    simulations spread their sample blocks over every core.
+    increasing in w and the Frobenius-norm ratio strictly decreasing.  Each w
+    is one ``simulate joint`` run at seed 3, 2000 steps and T = 500, spreading
+    its sample blocks over every core (the default ``--workers``).
     """
     n, var_tol = 20000, 0.05
-    model = random_model(9, seed=0)
+    model = random_model(9, seed=0)  # the model of ``simulate joint --model-seed 0``
     mean_ratios, frob_ratios = [], []
     # The basis is orthonormal, so the Frobenius norm of V diag(e) V^T is |e|_2.
     frob_cond = float(np.linalg.norm(model.s))
     worst_z, worst_var = 0.0, 0.0
     for w in (0.0, 1.0, 2.0):
-        sched = Constant(w)
-        config = SimConfig(dim=model.dim, n_samples=n, seed=3, horizon_T=500.0, n_steps=2000)
-        samples = integrate_backward(config, lambda x, t: guided_score_batch(model, sched, x, t),
-                                     grid_offset=float(np.min(model.s)), init_mean=model.mu,
-                                     workers=os.cpu_count() or 1)[0.0]
-        mean_th, cov_eigs = guided_moments(model, sched, 0.0)
-        mean_sim = samples.mean(axis=0)
-        se = samples.std(axis=0, ddof=1) / math.sqrt(n)
-        worst_z = max(worst_z, float(np.max(np.abs(mean_sim - mean_th) / se)))
-        var_sim = (samples @ model.basis).var(axis=0, ddof=1)
-        worst_var = max(worst_var, float(np.max(np.abs(var_sim / cov_eigs - 1.0))))
+        cols = _columns(_simulate([
+            "--seed", "3", "simulate", "joint", "--d2", str(model.dim), "--model-seed", "0",
+            "--w", str(w), "--n", str(n), "--T", "500", "--steps", "2000",
+        ]))
+        mean_sim, var_sim = cols["mean_sim"], cols["var_eig_sim"]
+        z = (mean_sim - cols["mean_theory"]) / cols["mean_se"]
+        worst_z = max(worst_z, float(np.max(np.abs(z))))
+        worst_var = max(worst_var, float(np.max(np.abs(var_sim / cols["var_eig_theory"] - 1.0))))
         mean_ratios.append(float(np.linalg.norm(mean_sim) / np.linalg.norm(model.mu)))
         frob_ratios.append(float(np.linalg.norm(var_sim)) / frob_cond)
     monotone = all(a < b for a, b in zip(mean_ratios, mean_ratios[1:])) and all(
@@ -329,30 +339,6 @@ def _linear_moment_ode_oracle(sigma2: float, sched: Linear, t_end: float,
     return a, v
 
 
-def _sample_path_oracle(sigma2: float, beta: float, w: float) -> DistortionReport:
-    """Constant-guidance distortion at t = 0 with the phase switch placed
-    where the samples of the guided phase make it.
-
-    A sample sits at |x - c1|^2/d -> (a-1)^2 + s^2 and |x|^2/d -> a^2 + s^2,
-    the q1 and q2 that ``zeta`` defines; ``assemble_trajectory`` takes the
-    mean path (a-1)^2, a^2 instead.  The switch is the largest root of
-    beta + zeta(t, 1, sigma2, q1, q2), found by ``speciation_time``'s array
-    scan, multisection round and Brent polish, with a and s^2 from
-    ``joint_gaussian.propagate``'s horizon-free moments at
-    (sigma2, sigma2 + 1), evaluated on arrays of times or on one float time;
-    the moments on either side are the package's closed forms.  At
-    w = 0 the root is the collapse time 1/(exp(2 beta) - 1) - sigma2 and the
-    distortion vanishes.
-    """
-
-    def switch(t: FloatOrArray) -> FloatOrArray:
-        a, s2 = propagate(sigma2, sigma2 + 1.0, w, t)
-        return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
-
-    t_s = _switch_root(switch)
-    return _report(_moments_at(0.0, t_s, sigma2, Constant(w)), sigma2, t_s)
-
-
 def criterion_8_oracle_suite() -> tuple[bool, str]:
     """Independent-oracle equivalence checks.
 
@@ -471,32 +457,16 @@ def criterion_8_oracle_suite() -> tuple[bool, str]:
 
 def criterion_9_determinism() -> tuple[bool, str]:
     """``simulate mixture`` and ``simulate joint`` each write byte-identical
-    CSVs across runs and worker counts; the CLI's stdout is kept out of
-    ``validate``'s."""
-    import tempfile
-    from .cli import main as cli_main
-
+    CSVs across runs and worker counts."""
     commands = {
         "mixture": ["--d", "6", "--beta", "0.4", "--sigma2", "0.5", "--w", "0.7"],
         "joint": ["--d2", "9", "--w", "2"],
     }
-    with tempfile.TemporaryDirectory() as tmp:
-        for target, args in commands.items():
-            digests = []
-            for k, workers in enumerate((1, 1, 4)):
-                sub = f"{tmp}/{target}{k}"
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli_main([
-                        "--seed", "7", "--workers", str(workers), "--out-dir", sub,
-                        "simulate", target, *args, "--n", "3000", "--steps", "60",
-                        "--out", "sim.csv",
-                    ])
-                if rc != 0:
-                    return False, f"simulate {target} exited {rc}"
-                with open(f"{sub}/sim.csv", "rb") as fh:
-                    digests.append(fh.read())
-            if not digests[0] == digests[1] == digests[2]:
-                return False, f"simulate {target} outputs differ"
+    for target, args in commands.items():
+        outputs = [_simulate(["--seed", "7", "--workers", str(workers), "simulate", target, *args,
+                              "--n", "3000", "--steps", "60"]) for workers in (1, 1, 4)]
+        if not outputs[0] == outputs[1] == outputs[2]:
+            return False, f"simulate {target} outputs differ"
     return True, "mixture and joint byte-identical across repeats and worker counts {1, 4}"
 
 

@@ -66,14 +66,16 @@ class JointGaussianModel:
         s = np.asarray(self.s, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         d = basis.shape[0]
-        if basis.shape != (d, d):
-            raise DomainError("basis must be a square matrix")
+        if d < 1 or basis.shape != (d, d):
+            raise DomainError(f"basis must be a d x d matrix with d >= 1, got shape {basis.shape}")
         if r.shape != (d,) or s.shape != (d,) or mu.shape != (d,):
             raise DomainError("r, s, mu must be length-d vectors")
-        if np.max(np.abs(basis.T @ basis - np.eye(d))) > _ORTHO_TOL:
+        if not (np.max(np.abs(basis.T @ basis - np.eye(d))) <= _ORTHO_TOL):
             raise DomainError("basis columns are not orthonormal to 1e-10")
-        if np.any(s <= 0) or np.any(s > r + 1e-15):
-            raise DomainError("need 0 < s_i <= r_i for every eigendirection")
+        if not (np.all(s > 0) and np.all(s <= r + 1e-15) and np.all(r < np.inf)):
+            raise DomainError("need 0 < s_i <= r_i < inf for every eigendirection")
+        if not np.all(np.isfinite(mu)):
+            raise DomainError("mu must be finite")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", np.minimum(s, r))  # propagate needs s <= r
@@ -87,7 +89,7 @@ class JointGaussianModel:
 def _check_sr_t(s: float, r: float, t: float) -> None:
     if not (0.0 < s <= r):
         raise DomainError(f"need 0 < s <= r, got s={s}, r={r}")
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError(f"need t >= 0, got t={t}")
 
 
@@ -121,11 +123,11 @@ def propagate(
     implies lambda >= 1 and Lambda <= 1."""
     if not (0.0 < s <= r):
         raise DomainError(f"need 0 < s <= r, got s={s}, r={r}")
-    if w <= -0.5:
+    if not (w > -0.5):
         raise DomainError(f"constant guidance requires w > -1/2, got {w}")
     T = math.inf if start is None else start[0]
     lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)  # floats skip numpy call overhead
-    if lo < 0.0 or hi > T:
+    if not (0.0 <= lo and hi <= T):  # a nan t or T fails
         raise DomainError(f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}")
     if s == r:
         mean, var = (np.full(t.shape, 1.0 + w) if isinstance(t, np.ndarray) else 1.0 + w), s + t
@@ -232,7 +234,7 @@ def exact_scores(
     cond  = -(Sigma_cond + t I)^-1 (x - mu)
     uncond = -(Sigma_data + t I)^-1 x
     """
-    if t < 0.0:
+    if not (t >= 0.0):
         raise DomainError(f"need t >= 0, got t={t}")
     x = np.asarray(x, dtype=float)
     y = model.basis.T @ x
@@ -274,6 +276,8 @@ def random_model(dim: int, seed: int) -> JointGaussianModel:
     """Seeded random model: orthonormal basis from a QR factorisation,
     r sorted descending in (0.5, 1.5], s = u * r with u uniform in (0.3, 1],
     and a standard-normal conditional mean."""
+    if dim < 1:
+        raise DomainError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     q, rr = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(rr))  # fix the sign convention so output is unique

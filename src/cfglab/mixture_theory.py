@@ -40,8 +40,9 @@ Conventions fixed by exactly solvable limits (see the test suite):
   s^2/(2g(g+1)) that the mean path drops stays O(1) at any d.  So
   ``speciation_time`` is the switch of the mean path, not the switch the
   samples of the finite-d process make: 1.886 against 1.091 at
-  sigma2 = beta = 0.5, w = 1 (``acceptance`` holds the sample-path switch
-  as the reference that criterion 3 checks the simulator against).
+  sigma2 = beta = 0.5, w = 1 (``sample_path_report`` places the switch
+  where the samples make it, the reference that criterion 3 checks the
+  simulator against).
 * the guided-branch variance estimator subtracts (sigma^2 + t), forced by
   the w = 0 identity (unguided conditional diffusion has variance exactly
   sigma^2 + t, so delta_sigma2 must vanish at every t).
@@ -70,6 +71,7 @@ __all__ = [
     "zeta_typical",
     "typical_overlaps",
     "speciation_time",
+    "sample_path_report",
     "assemble_trajectory",
     "delta_estimators_linear",
     "sanity_schedule_speciation",
@@ -197,6 +199,27 @@ def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
     w = params.schedule.w
     beta = params.beta
     return _switch_root(lambda t: beta + zeta_typical(t, params.sigma2, w))
+
+
+def sample_path_report(sigma2: float, beta: float, w: float) -> DistortionReport:
+    """Constant-guidance distortion at t = 0 with the phase switch placed
+    where the samples of the guided phase make it.
+
+    A sample sits at |x - c1|^2/d -> q1 = (a-1)^2 + s^2 and |x|^2/d ->
+    q2 = a^2 + s^2; ``speciation_time`` drops s^2 (the mean path).  The
+    switch is the largest root of beta + zeta(t, 1, sigma2, q1, q2), the
+    moments on either side are ``assemble_trajectory``'s.  At w = 0 the root
+    is the collapse time 1/(exp(2 beta) - 1) - sigma2 and the distortion
+    vanishes.
+    """
+    params = MixtureTheoryParams(sigma2, beta, Constant(w))  # checks all three
+
+    def switch(t: FloatOrArray) -> FloatOrArray:
+        a, s2 = propagate(sigma2, sigma2 + 1.0, w, t)
+        return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
+
+    t_s = _switch_root(switch)
+    return _report(_moments_at(0.0, t_s, sigma2, params.schedule), sigma2, t_s)
 
 
 def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:

@@ -78,15 +78,15 @@ class SimConfig:
             raise DomainError("dim must be >= 1")
         if self.n_samples < 2:
             raise DomainError("n_samples must be >= 2")
-        if not (self.horizon_T > 0):
-            raise DomainError("horizon_T must be positive")
+        if not (0 < self.horizon_T < math.inf):  # nan fails too
+            raise DomainError(f"horizon_T must be positive and finite, got {self.horizon_T}")
         if self.n_steps < 10:
             raise DomainError("n_steps must be >= 10")
         cps = tuple(sorted(set(float(c) for c in self.checkpoints), reverse=True))
         if not cps:
             raise DomainError("need at least one checkpoint")
-        if cps[0] > self.horizon_T or cps[-1] < 0.0:
-            raise DomainError("checkpoints must lie in [0, horizon_T]")
+        if not all(0.0 <= c <= self.horizon_T for c in cps):  # nan fails too
+            raise DomainError(f"checkpoints must lie in [0, horizon_T], got {cps}")
         object.__setattr__(self, "checkpoints", cps)
 
 

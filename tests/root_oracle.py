@@ -6,9 +6,10 @@ multisection round on an array and a Brent polish on floats.  This module
 keeps the scalar path that the array path replaced -- the guided-phase
 closed forms and zeta written with ``math``, a point-by-point descending
 sign scan and plain bisection -- so the tests can check the library's path
-against an independent one.  It also keeps the conditional-phase
-closed form, which the library now evaluates as the guided propagator at
-w = 0.
+against an independent one, for the mean-path switch (``speciation_time``)
+and the sample-path switch (``sample_path_report``).  It also keeps the
+conditional-phase closed form, which the library now evaluates as the
+guided propagator at w = 0.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def mean_path_switch(sigma2: float, beta: float, w: float) -> Optional[float]:
 
 
 def sample_path_switch(sigma2: float, beta: float, w: float) -> Optional[float]:
-    """``acceptance._sample_path_oracle``'s switch: q1 and q2 include s^2."""
+    """``mixture_theory.sample_path_report``'s switch: q1 and q2 include s^2."""
 
     def f(t: float) -> float:
         a, s2 = mean_coeff(t, sigma2, w), variance(t, sigma2, w)

@@ -288,16 +288,27 @@ class TestExitCodes:
             ["sweep", "sigma-w", "--beta", "nan", "--sigma2-points", "2", "--w-points", "2"],
             ["sweep", "beta-w", "--sigma2", "nan", "--beta-points", "2", "--w-points", "2"],
             ["sweep", "schedule", "--sigma2", "nan", "--w0-points", "2", "--omega-points", "2"],
+            ["simulate", "joint", "--d2", "0", "--w", "1", "--n", "10"],
+            ["simulate", "joint", "--d2", "-2", "--w", "1", "--n", "10"],
         ],
         ids=["theory_beta_nan", "theory_sigma2_nan", "theory_beta_negative",
              "theory_ramp_beta_negative", "sigma_w_beta_nan", "beta_w_sigma2_nan",
-             "schedule_sigma2_nan"],
+             "schedule_sigma2_nan", "joint_d2_zero", "joint_d2_negative"],
     )
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"cfglab: numerical failure in {argv[0]}: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_infinite_horizon_fails_before_integrating(self, tmp_path, capsys):
+        rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",
+                   "--sigma2", "0.5", "--w", "1", "--n", "10", "--steps", "10", "--T", "inf",
+                   "--out", "x.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "horizon_T must be positive and finite" in err[0]
         assert not (tmp_path / "x.csv").exists()
 
     def test_validation_failure_is_three(self, tmp_path, monkeypatch, capsys):

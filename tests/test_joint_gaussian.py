@@ -157,9 +157,14 @@ class TestPropagate:
             (0.6, 1.0, 1.0, 2.5, (2.0, 0.0, 2.0)),  # t > T
             (0.6, 1.0, 1.0, np.array([0.0, 1.0, -1e-9]), None),
             (0.6, 1.0, 1.0, np.array([0.0, 2.0 + 1e-9, 1.0]), (2.0, 0.0, 2.0)),
+            (0.5, 1.5, 1.0, float("nan"), None),
+            (0.5, 1.5, 1.0, 1.0, (float("nan"), 0.0, 2.0)),
+            (0.6, 1.0, 1.0, np.array([0.0, float("nan"), 1.0]), None),
+            (0.6, 1.0, float("nan"), 0.5, None),
         ],
         ids=["s_gt_r", "s_zero", "w_half", "w_below_half_seeded", "t_negative",
-             "t_past_horizon", "array_t_negative", "array_t_past_horizon"],
+             "t_past_horizon", "array_t_negative", "array_t_past_horizon", "t_nan",
+             "horizon_nan", "array_t_nan", "w_nan"],
     )
     def test_rejects_out_of_domain(self, s, r, w, t, start):
         with pytest.raises(DomainError):
@@ -237,6 +242,13 @@ class TestLinearScheduleCoefficients:
         # diversity gain: Lambda > 1 when the negative window is wide enough
         assert Lambda_coeff_linear(0.6, 1.0, Linear(-0.75, omega), 0.0) > 1.0
 
+    def test_nan_time_is_rejected(self):
+        # two branches that return without a quadrature that could trip on nan
+        with pytest.raises(DomainError):
+            Lambda_coeff_linear(1.0, 1.0, Linear(0.2, 0.5), np.nan)  # s = r returns 1
+        with pytest.raises(DomainError):
+            lambda_coeff_linear(0.5, 1.5, Linear(0.5, 0.0), np.nan)  # omega = 0
+
     def test_degenerate_pair_with_ramp(self):
         assert Lambda_coeff_linear(1.0, 1.0, Linear(0.2, 0.5), 0.0) == 1.0
         with pytest.raises(DomainError):
@@ -279,6 +291,24 @@ class TestGuidedMoments:
             JointGaussianModel(basis=q * 1.01, r=np.ones(4), s=np.ones(4), mu=np.zeros(4))
         with pytest.raises(DomainError):
             JointGaussianModel(basis=q, r=np.ones(4), s=1.5 * np.ones(4), mu=np.zeros(4))
+        with pytest.raises(DomainError):
+            JointGaussianModel(basis=np.zeros((0, 0)), r=[], s=[], mu=[])
+        # a nan entry fails the checks, so no nan moment leaves guided_moments
+        nan_basis = q.copy()
+        nan_basis[1, 2] = np.nan
+        with pytest.raises(DomainError):
+            JointGaussianModel(basis=nan_basis, r=np.ones(4), s=np.ones(4), mu=np.zeros(4))
+        with pytest.raises(DomainError):
+            JointGaussianModel(basis=q, r=np.ones(4), s=np.ones(4), mu=[0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            JointGaussianModel(basis=q, r=np.ones(4), s=[0.5, np.nan, 0.5, 0.5], mu=np.zeros(4))
+        with pytest.raises(DomainError):
+            JointGaussianModel(basis=q, r=[1.0, np.inf, 1.0, 1.0], s=np.ones(4), mu=np.zeros(4))
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_random_model_rejects_dimension_below_one(self, dim):
+        with pytest.raises(DomainError):
+            random_model(dim, seed=0)
 
     def test_s_within_the_slack_above_r_is_the_s_equals_r_limit(self):
         # The constructor accepts s_i <= r_i + 1e-15 and propagate needs s <= r:
@@ -307,6 +337,11 @@ class TestExactScores:
         model = random_model(6, seed=4)
         _, uncond = exact_scores(model, np.zeros(6), 0.5)
         np.testing.assert_allclose(uncond, 0.0, atol=1e-13)
+
+    def test_nan_time_is_rejected(self):
+        model = random_model(3, seed=4)
+        with pytest.raises(DomainError):
+            exact_scores(model, np.zeros(3), float("nan"))
 
     def test_matches_finite_differences(self):
         model = random_model(5, seed=9)

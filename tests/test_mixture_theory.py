@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import root_oracle
-from cfglab.acceptance import _linear_moment_ode_oracle, _sample_path_oracle
+from cfglab.acceptance import _linear_moment_ode_oracle
 from cfglab.errors import DomainError
 from cfglab.joint_gaussian import propagate
 from cfglab.mixture_theory import (
@@ -18,6 +18,7 @@ from cfglab.mixture_theory import (
     _relative_deltas,
     assemble_trajectory,
     delta_estimators_linear,
+    sample_path_report,
     sanity_schedule_speciation,
     speciation_time,
     typical_overlaps,
@@ -242,7 +243,36 @@ def test_sample_path_switch_matches_scalar_scan_and_bisection(w):
     # criterion 3's cell sigma2 = beta = 0.5
     ref = root_oracle.sample_path_switch(0.5, 0.5, w)
     assert math.isfinite(ref)
-    assert _sample_path_oracle(0.5, 0.5, w).t_speciation == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert sample_path_report(0.5, 0.5, w).t_speciation == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma2,beta", [(0.5, 0.5), (0.2, 0.7), (1.0, 0.3)])
+def test_sample_path_report_unguided_is_collapse_time(sigma2, beta):
+    # At w = 0 a sample sits at q1 = g, q2 = g + 1, so beta + zeta = 0 is the
+    # collapse condition beta = log(1 + 1/(sigma2 + t)) / 2.
+    rep = sample_path_report(sigma2, beta, 0.0)
+    assert rep.t_speciation == pytest.approx(1.0 / math.expm1(2.0 * beta) - sigma2, abs=1e-9)
+    assert abs(rep.delta_mu) <= 1e-12
+    assert abs(rep.delta_sigma2) <= 1e-12
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0])
+def test_sample_path_switches_below_mean_path(w):
+    # The per-sample variance raises zeta, so the samples switch at a smaller
+    # backward time and stay guided longer: more mean shift, less variance.
+    params = MixtureTheoryParams(0.5, 0.5, Constant(w))
+    sample_path = sample_path_report(0.5, 0.5, w)
+    _, mean_path = assemble_trajectory(params, [0.0])
+    assert sample_path.t_speciation < speciation_time(params)
+    assert sample_path.delta_mu > mean_path.delta_mu
+    assert sample_path.delta_sigma2 < mean_path.delta_sigma2
+
+
+@pytest.mark.parametrize("sigma2,beta,w", [(float("nan"), 0.5, 1.0), (0.5, float("nan"), 1.0),
+                                           (0.5, 0.5, float("nan")), (0.5, 0.5, -0.5)])
+def test_sample_path_report_rejects_bad_parameters(sigma2, beta, w):
+    with pytest.raises(DomainError):
+        sample_path_report(sigma2, beta, w)
 
 
 class TestGuidedPhaseMoments:

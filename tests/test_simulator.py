@@ -249,6 +249,11 @@ class TestTimeGrid:
             SimConfig(dim=1, n_samples=2, seed=0, n_steps=5)
         with pytest.raises(DomainError):
             SimConfig(dim=1, n_samples=2, seed=0, checkpoints=(700.0,))
+        # non-finite horizons and checkpoints, a nan anywhere in the list included
+        for kwargs in ({"horizon_T": math.inf}, {"horizon_T": math.nan},
+                       {"checkpoints": (math.nan,)}, {"checkpoints": (1.0, math.nan, 0.0)}):
+            with pytest.raises(DomainError):
+                SimConfig(dim=2, n_samples=10, seed=0, **kwargs)
 
 
 class TestIntegrateBackward:
