@@ -46,10 +46,17 @@ __all__ = [
 # block), deliberately independent of the worker count.
 _BLOCK = 1024
 
-# Rows per score tile: a float32 logit tile at M = e^10 modes is 5.6 MB, where
-# a whole block's would be 90 MB.  It divides _BLOCK, so tiles stay aligned
-# with the blocks.
+# Rows per score tile.  It divides _BLOCK, so tiles stay aligned with the
+# blocks.
 _TILE = 64
+
+# Centroid columns per softmax chunk: a tile holds its logits one
+# (_TILE, _CHUNK) chunk at a time, 1.5 MB in float32 whatever M is, where a
+# full-width tile at M = e^10 modes would be 5.6 MB and a whole block's
+# 90 MB.  The chunk fits one core's 2 MB L2 next to its keys; 8000 is as
+# fast, while 4000, 10000 and 8192 (a power of two, whose rows alias in the
+# cache) are slower.
+_CHUNK = 6000
 
 # Purpose tags for Philox key derivation.
 _TAG_INIT = 1
@@ -193,11 +200,18 @@ def make_mixture_score_fn(
     The returned closure maps a batch x of shape (n, d) and a time t to the
     drift; any other shape raises DomainError.  The unconditional score is
     the softmax-weighted pull toward the centroids, i.e. attention with the
-    samples as queries and the centroids as keys and values.  It runs as one
-    fused kernel over 64-row tiles: the augmented query [x/g, 1/g] times the
-    keys [C^T; -|c|^2/2] gives the logits (x.c - |c|^2/2)/g in one GEMM, and
-    the exponentiated, max-shifted tile times the values [C, 1] gives the
-    weighted sum and, in its last column, the normaliser in a second GEMM.
+    samples as queries and the centroids as keys and values.  Keys and values
+    share one (M, d+2) buffer [C, 1, -|c|^2/2], and the kernel runs over
+    64-row tiles and, within a tile, over chunks of ``_CHUNK`` centroids:
+    - the augmented query [x/g, 0, 1/g] times the chunk's buffer rows gives
+      the logits (x.c - |c|^2/2)/g in one GEMM (the 0 skips the ones);
+    - the logits, shifted by the running row max and exponentiated, times the
+      chunk's values [C, 1] give the weighted sum and, in the last column,
+      the normaliser in a second GEMM;
+    - that product is added into the tile's accumulator after the
+      accumulator is rescaled by exp(old max - new max), the online softmax
+      of Milakov & Gimelshein (arXiv:1805.02867), so the logits held do not
+      grow with M.  With one chunk (M <= ``_CHUNK``) there is no rescale.
     Tiles start at the first row, so a batch of whole 1024-row blocks splits
     into the same tiles as each block alone and every row gets the same bytes.
 
@@ -206,12 +220,15 @@ def make_mixture_score_fn(
     """
     C = inst.centroids
     M, d = C.shape
-    keys = np.empty((d + 1, M), dtype=softmax_dtype)
-    keys[:d] = C.T
-    keys[d] = -0.5 * np.einsum("ij,ij->i", C, C)
-    values = np.empty((M, d + 1), dtype=softmax_dtype)
-    values[:, :d] = C
-    values[:, d] = 1.0
+    # The ones precede -|c|^2/2 so that the values are a slice of the same
+    # shape as a separate [C, 1] array: OpenBLAS rounds a GEMM by its operand
+    # shapes, and this keeps more outputs at their former bytes.
+    kv = np.empty((M, d + 2), dtype=softmax_dtype)
+    kv[:, :d] = C
+    kv[:, d] = 1.0
+    kv[:, d + 1] = -0.5 * np.einsum("ij,ij->i", C, C)
+    width = min(M, _CHUNK)
+    chunks = [(kv[lo:lo + width].T, kv[lo:lo + width, :d + 1]) for lo in range(0, M, width)]
     c1 = inst.target
     sigma2 = inst.sigma2
 
@@ -224,18 +241,34 @@ def make_mixture_score_fn(
         if w == 0.0 or M == 1:
             return cond
         n = len(x)
-        queries = np.empty((n, d + 1), dtype=softmax_dtype)
+        queries = np.empty((n, d + 2), dtype=softmax_dtype)
         queries[:, :d] = x / g
-        queries[:, d] = 1.0 / g
+        queries[:, d] = 0.0
+        queries[:, d + 1] = 1.0 / g
         acc = np.empty((n, d + 1), dtype=softmax_dtype)
-        logits = np.empty((min(n, _TILE), M), dtype=softmax_dtype)
+        rows = min(n, _TILE)
+        logits = np.empty((rows, width), dtype=softmax_dtype)
+        part = np.empty((rows, d + 1), dtype=softmax_dtype)
+        maxes = np.empty((2, rows, 1), dtype=softmax_dtype)
         for lo in range(0, n, _TILE):
-            q = queries[lo:lo + _TILE]
-            tile = logits[:len(q)]
-            np.matmul(q, keys, out=tile)
-            tile -= tile.max(axis=1, keepdims=True)
-            np.exp(tile, out=tile)
-            np.matmul(tile, values, out=acc[lo:lo + _TILE])
+            q, a = queries[lo:lo + _TILE], acc[lo:lo + _TILE]
+            k = len(q)
+            old, new = maxes[:, :k]
+            for i, (keys, values) in enumerate(chunks):
+                tile = logits[:k, :len(values)]
+                np.matmul(q, keys, out=tile)
+                np.max(tile, axis=1, keepdims=True, out=new)
+                if i:
+                    np.maximum(new, old, out=new)
+                tile -= new
+                np.exp(tile, out=tile)
+                if i:
+                    np.subtract(old, new, out=old)
+                    a *= np.exp(old, out=old)
+                    a += np.matmul(tile, values, out=part[:k])
+                else:
+                    np.matmul(tile, values, out=a)
+                old, new = new, old
         weighted_mean = acc[:, :d] / acc[:, d:]
         uncond = (weighted_mean.astype(float) - x) / g
         return (1.0 + w) * cond - w * uncond

@@ -14,8 +14,10 @@ from cfglab.errors import BudgetError, DomainError, NumericalError
 from cfglab.joint_gaussian import guided_score_batch, random_model
 from cfglab.schedule import Constant
 from cfglab.simulator import (
+    MixtureInstance,
     SimConfig,
     _BLOCK,
+    _CHUNK,
     _TAG_STEP,
     _TILE,
     _openblas_threads,
@@ -176,6 +178,50 @@ class TestMixtureScore:
         unfused_err = np.abs(_unfused_float32_drift(inst, w, X, t) - ref).max()
         assert np.abs(f32 - ref).max() <= 8.0 * unfused_err
 
+    @pytest.mark.parametrize("M", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 37])
+    def test_chunks_match_row_by_row_softmax(self, M):
+        # Mode counts around the chunk: one chunk, one full chunk, a one-column
+        # second chunk, and three chunks whose running max must rescale the
+        # accumulator.
+        d, w, t, rows = 4, 1.3, 0.4, 100
+        inst = sample_centroids(d, M, seed=21, sigma2=0.5)
+        rng = np.random.default_rng(M)
+        X = inst.centroids[rng.integers(0, M, rows)] + rng.standard_normal((rows, d))
+        ref = _row_by_row_drift(inst, w, X, t)
+        f64 = make_mixture_score_fn(inst, Constant(w))(X, t)
+        np.testing.assert_allclose(f64, ref, rtol=0.0, atol=1e-12)
+        f32 = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)(X, t)
+        unfused_err = np.abs(_unfused_float32_drift(inst, w, X, t) - ref).max()
+        assert np.abs(f32 - ref).max() <= 8.0 * unfused_err
+
+    def test_running_max_spans_far_apart_chunks(self):
+        # The first chunk's centroids sit 30 away from the rest, so a row's
+        # chunk maxima differ by hundreds: the running max must only grow, or
+        # the float32 rescale exp(old - new) overflows.
+        d, M, w, t, rows = 4, 2 * _CHUNK + 37, 1.0, 0.05, 64
+        C = sample_centroids(d, M, seed=5).centroids
+        C[:_CHUNK, 0] += 30.0
+        inst = MixtureInstance(centroids=C, sigma2=0.5)
+        rng = np.random.default_rng(9)
+        X = C[rng.integers(0, M, rows)] + 0.3 * rng.standard_normal((rows, d))
+        ref = _row_by_row_drift(inst, w, X, t)
+        f64 = make_mixture_score_fn(inst, Constant(w))(X, t)
+        np.testing.assert_allclose(f64, ref, rtol=0.0, atol=1e-11)
+        f32 = make_mixture_score_fn(inst, Constant(w), softmax_dtype=np.float32)(X, t)
+        unfused_err = np.abs(_unfused_float32_drift(inst, w, X, t) - ref).max()
+        assert np.abs(f32 - ref).max() <= 8.0 * unfused_err
+
+    @staticmethod
+    def _assert_batch_matches_block_calls(d, M, dtype, t):
+        rows = 2500
+        inst = sample_centroids(d, M, seed=4, sigma2=0.5)
+        rng = np.random.default_rng(6)
+        X = inst.centroids[rng.integers(0, M, rows)] + math.sqrt(0.5 + t) * rng.standard_normal((rows, d))
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)
+        batch = fn(X, t)
+        blocks = [fn(X[lo:lo + _BLOCK], t) for lo in range(0, rows, _BLOCK)]
+        np.testing.assert_array_equal(batch.view(np.uint64), np.concatenate(blocks).view(np.uint64))
+
     @pytest.mark.parametrize("t", [0.05, 1.0, 40.0])
     @pytest.mark.parametrize("dtype", SOFTMAX_DTYPES)
     def test_batch_rows_match_their_block_calls_bit_for_bit(self, dtype, t):
@@ -184,14 +230,14 @@ class TestMixtureScore:
         # misaligned tile (100 rows) rounds some rows differently; at d = 20,
         # M = 3000 it does not, so that size would not tell them apart.
         assert _BLOCK % _TILE == 0
-        d, M, rows = 15, mode_count(0.5, 15), 2500
-        inst = sample_centroids(d, M, seed=4, sigma2=0.5)
-        rng = np.random.default_rng(6)
-        X = inst.centroids[rng.integers(0, M, rows)] + math.sqrt(0.5 + t) * rng.standard_normal((rows, d))
-        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)
-        batch = fn(X, t)
-        blocks = [fn(X[lo:lo + _BLOCK], t) for lo in range(0, rows, _BLOCK)]
-        np.testing.assert_array_equal(batch.view(np.uint64), np.concatenate(blocks).view(np.uint64))
+        self._assert_batch_matches_block_calls(15, mode_count(0.5, 15), dtype, t)
+
+    @pytest.mark.parametrize("t", [0.05, 1.0, 40.0])
+    @pytest.mark.parametrize("dtype", SOFTMAX_DTYPES)
+    def test_chunked_batch_rows_match_their_block_calls_bit_for_bit(self, dtype, t):
+        # Three centroid chunks per tile: the running max and the rescale
+        # must not depend on which other rows share the call.
+        self._assert_batch_matches_block_calls(8, 2 * _CHUNK + 37, dtype, t)
 
     def test_logits_held_one_tile_at_a_time(self):
         # One block's call holds its logits a tile at a time, never as one
@@ -208,6 +254,29 @@ class TestMixtureScore:
             tracemalloc.stop()
         block_logit_bytes = _BLOCK * M * np.dtype(np.float32).itemsize
         assert peak < block_logit_bytes / 4
+
+    def test_memory_does_not_grow_with_the_mode_count(self):
+        # The factory holds one (M, d+2) buffer for keys and values, and a
+        # call's peak at 6 chunks is no higher than at 2: the logits are held
+        # one (_TILE, _CHUNK) chunk at a time, whatever M is.
+        d, itemsize = 4, np.dtype(np.float32).itemsize
+        peaks = {}
+        for M in (2 * _CHUNK, 6 * _CHUNK):
+            inst = sample_centroids(d, M, seed=3, sigma2=0.5)
+            X = inst.centroids[np.random.default_rng(2).integers(0, M, _BLOCK)]
+            tracemalloc.start()
+            try:
+                fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=np.float32)
+                held, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                fn(X, 0.3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert M * (d + 2) * itemsize <= held < M * (d + 2) * itemsize + 16 * 1024
+            peaks[M] = peak - held
+        per_call_arrays = _BLOCK * (d + 2) * itemsize
+        assert peaks[6 * _CHUNK] <= peaks[2 * _CHUNK] + per_call_arrays
 
     def test_rejects_anything_but_an_n_by_d_batch(self):
         # Every branch: zero guidance, a single mode, and the softmax.
@@ -287,6 +356,18 @@ class TestIntegrateBackward:
         c = integrate_backward(cfg, fn, grid_offset=0.5, workers=1)[0.0]
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("dtype", SOFTMAX_DTYPES)
+    def test_chunked_softmax_identical_across_worker_counts(self, dtype):
+        # Three blocks, the last partial, at three centroid chunks per tile:
+        # the running max and rescale stay inside each row.
+        d, M = 4, 2 * _CHUNK + 37
+        inst = sample_centroids(d, M, seed=6, sigma2=0.5)
+        cfg = SimConfig(dim=d, n_samples=2500, seed=6, horizon_T=50.0, n_steps=10)
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)
+        runs = [integrate_backward(cfg, fn, grid_offset=0.5, workers=k)[0.0] for k in (1, 2, 3)]
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.view(np.uint64), runs[0].view(np.uint64))
 
     def test_independent_of_blas_thread_count(self):
         controls = _openblas_threads()
