@@ -254,7 +254,10 @@ def build_parser() -> _Parser:
 
 def _check_flags(ns: argparse.Namespace) -> None:
     """Judge the flags that argparse reads one by one but the command reads
-    together: the guidance schedule and the time lists."""
+    together (the guidance schedule and the time lists), and simulate's
+    worker count, which must be at least 1."""
+    if ns.command == "simulate" and ns.workers < 1:
+        raise argparse.ArgumentTypeError(f"--workers must be >= 1, got {ns.workers}")
     if hasattr(ns, "w"):
         _schedule_from(ns)
     for name in ("t", "checkpoints"):
@@ -304,12 +307,16 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
     config = SimConfig(dim=ns.d, n_samples=ns.n, seed=ns.seed, horizon_T=ns.T, n_steps=ns.steps,
                        checkpoints=checkpoints)
     score = make_mixture_score_fn(inst, sched, softmax_dtype=np.float32 if M > 4096 else np.float64)
+    # The score holds its own copy of the centroids: keep only the target row,
+    # so the float64 (M, d) matrix is freed before the integration.
+    target = inst.target.copy()
+    del inst
     samples = integrate_backward(config, score, grid_offset=ns.sigma2, workers=ns.workers)
     rows = []
     outputs = []
     out = os.path.join(ns.out_dir, ns.out)
     for t in config.checkpoints:
-        emp = measure_distortion(samples[t], inst.target, ns.sigma2 + t, seed=ns.seed)
+        emp = measure_distortion(samples[t], target, ns.sigma2 + t, seed=ns.seed)
         rows.append([t, emp.delta_mu_hat, emp.delta_mu_se, emp.delta_sigma2_hat,
                      emp.delta_sigma2_se, emp.n_samples])
         if ns.dump_samples:

@@ -217,6 +217,11 @@ def make_mixture_score_fn(
 
     ``softmax_dtype=np.float32`` halves the cost of the (n_samples, M) softmax
     at exponential mode counts; the conditional part stays in float64.
+
+    The closure holds the (M, d+2) buffer at the softmax dtype and a copy of
+    the target row, not ``inst.centroids``: a caller that drops ``inst``
+    frees the float64 (M, d) matrix.  A call adds one (_TILE, _CHUNK) logit
+    chunk and O(n*d) arrays, the float64 ones built in place.
     """
     C = inst.centroids
     M, d = C.shape
@@ -229,7 +234,7 @@ def make_mixture_score_fn(
     kv[:, d + 1] = -0.5 * np.einsum("ij,ij->i", C, C)
     width = min(M, _CHUNK)
     chunks = [(kv[lo:lo + width].T, kv[lo:lo + width, :d + 1]) for lo in range(0, M, width)]
-    c1 = inst.target
+    c1 = inst.target.copy()  # a view would keep the (M, d) float64 matrix alive
     sigma2 = inst.sigma2
 
     def score(x: np.ndarray, t: float) -> np.ndarray:
@@ -237,12 +242,13 @@ def make_mixture_score_fn(
             raise DomainError(f"score expects an (n, {d}) batch, got shape {np.shape(x)}")
         w = guidance_level(schedule, t)
         g = sigma2 + t
-        cond = (c1 - x) / g
+        cond = c1 - x
+        cond /= g
         if w == 0.0 or M == 1:
             return cond
         n = len(x)
         queries = np.empty((n, d + 2), dtype=softmax_dtype)
-        queries[:, :d] = x / g
+        np.divide(x, g, out=queries[:, :d])
         queries[:, d] = 0.0
         queries[:, d + 1] = 1.0 / g
         acc = np.empty((n, d + 1), dtype=softmax_dtype)
@@ -269,9 +275,16 @@ def make_mixture_score_fn(
                 else:
                     np.matmul(tile, values, out=a)
                 old, new = new, old
-        weighted_mean = acc[:, :d] / acc[:, d:]
-        uncond = (weighted_mean.astype(float) - x) / g
-        return (1.0 + w) * cond - w * uncond
+        # The float64 epilogue runs in place, in the order of
+        # (1 + w) * cond - w * (mean - x) / g, so it rounds as that does.
+        np.divide(acc[:, :d], acc[:, d:], out=acc[:, :d])
+        uncond = acc[:, :d].astype(float)
+        uncond -= x
+        uncond /= g
+        cond *= 1.0 + w
+        uncond *= w
+        cond -= uncond
+        return cond
 
     return score
 
@@ -362,11 +375,14 @@ def integrate_backward(
     (config, score_fn) and does not depend on the grouping.  OpenBLAS runs on
     one thread for the whole call, so it does not depend on the BLAS thread
     count either.
-    Raises NumericalError naming the first step at which a state leaves
-    float range and a sample that left it.  A group that raises stops the
-    others before their next step; of the groups that raised by then, the
-    first in block order has its error reported.
+    Raises DomainError for ``workers`` below 1, and NumericalError naming the
+    first step at which a state leaves float range and a sample that left it.
+    A group that raises stops the others before their next step; of the
+    groups that raised by then, the first in block order has its error
+    reported.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     grid = time_grid(config, grid_offset)
     n, d = config.n_samples, config.dim
     sqrt_T = math.sqrt(config.horizon_T)
@@ -377,7 +393,7 @@ def integrate_backward(
     out = {t: np.empty((n, d)) for t in config.checkpoints}
     x = np.empty((n, d))
     n_blocks = (n + _BLOCK - 1) // _BLOCK
-    n_groups = max(1, min(workers, n_blocks))
+    n_groups = min(workers, n_blocks)
     # Contiguous groups whose sizes differ by at most one block.
     size, extra = divmod(n_blocks, n_groups)
     edges = [g * size + min(g, extra) for g in range(n_groups + 1)]

@@ -1,11 +1,13 @@
 """Monte Carlo engine: determinism, exact scores, estimator behaviour."""
 
+import gc
 import math
 import os
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +280,20 @@ class TestMixtureScore:
         per_call_arrays = _BLOCK * (d + 2) * itemsize
         assert peaks[6 * _CHUNK] <= peaks[2 * _CHUNK] + per_call_arrays
 
+    @pytest.mark.parametrize("dtype", SOFTMAX_DTYPES)
+    def test_holds_no_reference_to_the_centroid_matrix(self, dtype):
+        # The closure keeps its (M, d+2) buffer and a copy of the target row,
+        # so dropping the instance frees the float64 (M, d) matrix.
+        inst = sample_centroids(4, 300, seed=3, sigma2=0.5)
+        X = inst.centroids[:8] + 0.1
+        expected = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)(X, 0.3)
+        centroids = weakref.ref(inst.centroids)
+        fn = make_mixture_score_fn(inst, Constant(1.0), softmax_dtype=dtype)
+        del inst
+        gc.collect()
+        assert centroids() is None, "centroids alive"
+        np.testing.assert_array_equal(fn(X, 0.3), expected)
+
     def test_rejects_anything_but_an_n_by_d_batch(self):
         # Every branch: zero guidance, a single mode, and the softmax.
         for M, w in ((4, 0.0), (1, 1.0), (4, 1.0)):
@@ -346,6 +362,12 @@ class TestIntegrateBackward:
         assert np.all(np.abs(out.mean(axis=0) - inst.target) < 4.0 * se_mean)
         var = float(out.var(axis=0, ddof=1).mean())
         assert var == pytest.approx(0.5, abs=3.0 * 0.5 * math.sqrt(2.0 / (n * d)) + 0.005)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_workers_below_one(self, workers):
+        cfg = SimConfig(dim=2, n_samples=10, seed=0, horizon_T=1.0, n_steps=10)
+        with pytest.raises(DomainError, match="workers must be >= 1"):
+            integrate_backward(cfg, lambda x, t: np.zeros_like(x), workers=workers)
 
     def test_deterministic_across_worker_counts(self):
         inst = sample_centroids(5, 9, seed=3, sigma2=0.5)
