@@ -9,8 +9,9 @@ or after the subcommand (the later one wins).
 sample blocks, the only parallel axis (BLAS runs on one thread inside it);
 the other commands ignore it and leave it out of their manifests.
 The resolved parameter set is recorded in a manifest written next to every
-output, and re-running with the same parameters reproduces the CSV outputs
-byte for byte (the manifest's duration field aside).
+output (a sweep's also counts its cells and failed cells), and re-running
+with the same parameters reproduces the CSV outputs byte for byte (the
+manifest's duration field aside).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
 failure.
@@ -75,7 +76,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
 
 
 def _write_manifest(primary_out: str, subcommand: str, params: dict, seed: int,
-                    duration_s: float, outputs: list[str]) -> str:
+                    duration_s: float, outputs: list[str], counters: dict[str, int]) -> str:
     manifest = {
         "tool_version": __version__,
         "subcommand": subcommand,
@@ -84,6 +85,8 @@ def _write_manifest(primary_out: str, subcommand: str, params: dict, seed: int,
         "duration_s": duration_s,
         "outputs": outputs,
     }
+    if counters:
+        manifest["counters"] = counters
     path = primary_out + ".manifest.json"
     with open(path, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -354,7 +357,9 @@ def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
     return [out]
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
+def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], dict[str, int]]:
+    """Write the sweep's CSV; returns the outputs and the manifest's counters
+    (the cells and the failed cells), which stay out of the CSV."""
     fixed, axes, sweep = _SWEEPS[ns.target]
     names = [name for name, *_ in axes]
     specs = [AxisSpec(name, *(getattr(ns, f"{name}_{k}") for k in ("min", "max", "points", "scale")))
@@ -367,7 +372,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> list[str]:
     outputs = [out]
     if ns.emit_plot:
         outputs.append(_write_plot_script(out, names[0], names[1], f"sweep {ns.target}", 4))
-    return outputs
+    return outputs, {"cells": len(rows), "failed_cells": sum(r.region_label == "failed" for r in rows)}
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
@@ -394,6 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         started = time.perf_counter()
         if ns.command == "validate":
             return _cmd_validate(ns)
+        counters: dict[str, int] = {}
         if ns.command == "theory":
             outputs = _cmd_theory(ns)
         elif ns.command == "simulate":
@@ -401,10 +407,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _cmd_simulate_mixture(ns) if ns.target == "mixture" else _cmd_simulate_joint(ns)
             )
         else:
-            outputs = _cmd_sweep(ns)
+            outputs, counters = _cmd_sweep(ns)
         duration = time.perf_counter() - started
         _write_manifest(outputs[0], f"{ns.command} {ns.target}", _resolved_params(ns), ns.seed,
-                        duration, [os.path.basename(o) for o in outputs])
+                        duration, [os.path.basename(o) for o in outputs], counters)
         for o in outputs:
             print(o)
         return 0

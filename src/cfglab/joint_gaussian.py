@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
-from .special_math import BetaArgs, FloatOrArray, incomplete_beta_definite
+from .special_math import BetaArgs, FloatOrArray, _flat, incomplete_beta_definite
 
 __all__ = [
     "JointGaussianModel",
@@ -141,8 +141,27 @@ def propagate(
     return mean + decay * (mean_T - free_mean_T), var + decay * decay * (var_T - free_var_T)
 
 
-def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
-    """Mean amplification factor under w(t) = w0 + omega*t, horizon -> inf.
+def _per_ramp(s: float, r: float, sched: Linear, t: float,
+              constant: Callable[[float], float],
+              ramped: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> FloatOrArray:
+    """A ramp coefficient at every (w0, omega) of sched: constant(w0) one cell
+    at a time where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
+    on the other cells as one batch.  A float for a float schedule."""
+    _check_sr_t(s, r, t)
+    shape, (w0, omega) = _flat(sched.w0, sched.omega)
+    out = np.empty(w0.size)
+    level = omega == 0.0
+    for i in np.flatnonzero(level):
+        out[i] = constant(float(w0[i]))
+    if np.count_nonzero(level) < level.size:
+        out[~level] = ramped(w0[~level], omega[~level])
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrArray:
+    """Mean amplification factor under w(t) = w0 + omega*t, horizon -> inf;
+    w0 and omega may be arrays (one coefficient per ramp, all integrals in
+    one quadrature batch).
 
     Written as incomplete Beta integrals over u = (s+t')/(r+t'); the two-term
     combination is rearranged so both terms stay O(1) as omega -> 0 (the raw
@@ -158,50 +177,48 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
     at most 2.9e-9 wherever p >= 1e-3 (6000 random draws).  The default
     sweep grids keep omega >= 0.125.
     """
-    _check_sr_t(s, r, t)
-    w0, omega = sched.w0, sched.omega
-    if omega == 0.0:
-        return propagate(s, r, w0, t)[0]
-    if s == r:
-        raise DomainError(
-            "mean coefficient diverges for s = r under a ramped schedule with "
-            "omega > 0 (the integrated guidance level grows without bound)"
-        )
-    f_t = (s + t) / (r + t)
-    p = omega * (r - s)
-    a1 = omega * s - w0 - 1.0
-    c1 = 1.0 + w0 - omega * s
-    term1 = incomplete_beta_definite(BetaArgs(a1, p + 1.0, f_t, 1.0))
-    term2 = incomplete_beta_definite(BetaArgs(a1 + 1.0, p, f_t, 1.0))
-    pref = (
-        (s + t) ** (1.0 + w0 - omega * s)
-        * (r + t) ** (omega * r - w0)
-        * (r - s) ** (-p - 1.0)
-    )
-    return pref * (c1 * term1 + p * term2)
+
+    def ramped(w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        if s == r:
+            raise DomainError(
+                "mean coefficient diverges for s = r under a ramped schedule with "
+                "omega > 0 (the integrated guidance level grows without bound)"
+            )
+        f_t = (s + t) / (r + t)
+        p = omega * (r - s)
+        a1 = omega * s - w0 - 1.0
+        c1 = 1.0 + w0 - omega * s
+        terms = incomplete_beta_definite(
+            BetaArgs(np.concatenate([a1, a1 + 1.0]), np.concatenate([p + 1.0, p]), f_t, 1.0))
+        term1, term2 = terms[:w0.size], terms[w0.size:]
+        pref = (s + t) ** c1 * (r + t) ** (omega * r - w0) * (r - s) ** (-p - 1.0)
+        return pref * (c1 * term1 + p * term2)
+
+    return _per_ramp(s, r, sched, t, lambda w0: propagate(s, r, w0, t)[0], ramped)
 
 
-def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> float:
-    """Variance factor under w(t) = w0 + omega*t, horizon -> inf.
+def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrArray:
+    """Variance factor under w(t) = w0 + omega*t, horizon -> inf; w0 and
+    omega may be arrays, as in ``lambda_coeff_linear``.
 
     The per-direction guided variance is Lambda_i(t) * (s_i + t).
     """
-    _check_sr_t(s, r, t)
-    w0, omega = sched.w0, sched.omega
-    if omega == 0.0:
-        return propagate(s, r, w0, t)[1] / (s + t)
-    if s == r:
-        return 1.0
-    f_t = (s + t) / (r + t)
-    p = omega * (r - s)
-    a = 2.0 * (omega * s - w0) - 1.0
-    integral = incomplete_beta_definite(BetaArgs(a, 2.0 * p + 1.0, f_t, 1.0))
-    pref = (
-        (s + t) ** (1.0 + 2.0 * (w0 - omega * s))
-        * (r + t) ** (2.0 * omega * r - 2.0 * w0)
-        * (r - s) ** (-2.0 * p - 1.0)
-    )
-    return pref * integral
+
+    def ramped(w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        if s == r:
+            return np.ones(w0.size)
+        f_t = (s + t) / (r + t)
+        p = omega * (r - s)
+        a = 2.0 * (omega * s - w0) - 1.0
+        integral = incomplete_beta_definite(BetaArgs(a, 2.0 * p + 1.0, f_t, 1.0))
+        pref = (
+            (s + t) ** (1.0 + 2.0 * (w0 - omega * s))
+            * (r + t) ** (2.0 * omega * r - 2.0 * w0)
+            * (r - s) ** (-2.0 * p - 1.0)
+        )
+        return pref * integral
+
+    return _per_ramp(s, r, sched, t, lambda w0: propagate(s, r, w0, t)[1] / (s + t), ramped)
 
 
 def moments(s: float, r: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:

@@ -257,11 +257,13 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _guided_phase(sigma2: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
+def _guided_phase(
+    sigma2: float, sched: GuidanceSchedule, t: float
+) -> tuple[FloatOrArray, FloatOrArray]:
     """Horizon-free guided (mean_coeff, variance) at (s, r) = (sigma2, sigma2 + 1):
     ``propagate`` for a constant schedule, lambda and (s+t) Lambda of the
-    incomplete Beta forms for a ramp.  The ramp forms are looked up in this
-    module, where the per-layer tracer wraps them."""
+    incomplete Beta forms for a ramp (arrays for a batch of ramps).  The ramp
+    forms are looked up in this module, where the per-layer tracer wraps them."""
     s, r = sigma2, sigma2 + 1.0
     if isinstance(sched, Constant):
         return propagate(s, r, sched.w, t)
@@ -312,17 +314,20 @@ def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:
     return m.mean_coeff - 1.0, (m.variance - (sigma2 + m.t)) / (sigma2 + m.t)
 
 
-def delta_estimators_linear(t: float, sigma2: float, sched: Linear) -> tuple[float, float]:
+def delta_estimators_linear(
+    t: float, sigma2: float, sched: Linear
+) -> tuple[FloatOrArray, FloatOrArray]:
     """Distortion pair at time t under a linear schedule (guided-only regime).
 
     Here delta_sigma2 is the absolute variance deviation s^2(t) - (sigma2+t),
     not the relative one of ``assemble_trajectory``: the solvable linear-ramp
     benchmark pins the pair (delta_mu, delta_sigma2)(0) to
     (sigma2, (1-2*sigma2)/3), which fixes this normalisation for
-    ``sweep schedule``.
+    ``sweep schedule``.  The schedule's w0 and omega may be arrays; the pair
+    is then a pair of arrays, evaluated in one batch.
     """
-    m = _moments_at(t, None, sigma2, sched)
-    return m.mean_coeff - 1.0, m.variance - (sigma2 + t)
+    mean_coeff, variance = _guided_phase(sigma2, sched, t)
+    return mean_coeff - 1.0, variance - (sigma2 + t)
 
 
 def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:

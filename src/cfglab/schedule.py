@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = ["Constant", "Linear", "GuidanceSchedule", "guidance_level"]
@@ -27,16 +29,20 @@ class Linear:
     """Ramped guidance w(t) = w0 + omega * t.
 
     omega > 0 with w0 < 0 opens a negative-guidance window on [0, -w0/omega).
+    w0 and omega may be arrays that broadcast together: a batch of ramps,
+    which the ramp moments evaluate in one call.
     """
 
-    w0: float
-    omega: float
+    w0: Union[float, np.ndarray]
+    omega: Union[float, np.ndarray]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.w0) or self.w0 < -1.0:
-            raise DomainError(f"linear schedule requires w0 >= -1, got {self.w0}")
-        if not math.isfinite(self.omega) or self.omega < 0.0:
-            raise DomainError(f"linear schedule requires omega >= 0, got {self.omega}")
+        for name, least in (("w0", -1.0), ("omega", 0.0)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            bad = ~(np.isfinite(value) & (value >= least))
+            if bad.any():
+                got = getattr(self, name) if value.ndim == 0 else value.flat[np.argmax(bad)]
+                raise DomainError(f"linear schedule requires {name} >= {least:g}, got {got}")
 
 
 GuidanceSchedule = Union[Constant, Linear]

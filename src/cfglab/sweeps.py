@@ -2,11 +2,16 @@
 
 Each sweep takes its two swept axes as the ``AxisSpec`` arguments
 ``axis1, axis2`` after its fixed parameters, walks the grid in row-major
-order (axis1 outer, axis2 inner), evaluates the closed-form theory per cell,
-and classifies the cell by the signs of the distortion pair.  Cells where
-the theory evaluation fails numerically are emitted with the region label
-``failed`` and the error text instead of aborting the sweep (grid edges
-probe the validity limits of the formulas).
+order (axis1 outer, axis2 inner), evaluates the closed-form theory, and
+classifies each cell by the signs of the distortion pair.  The constant-
+guidance sweeps evaluate one cell at a time; the ramp sweeps evaluate
+slices of ``_SLICE`` cells per call, so all the quadratures of a slice
+advance in one lock-step batch.  Cells where the theory evaluation fails
+numerically are emitted with the region label ``failed`` and the error text
+instead of aborting the sweep (grid edges probe the validity limits of the
+formulas); a slice that fails is evaluated again one cell at a time, which
+gives every other cell the same bits, since a quadrature batch evaluates
+each integral independently of the others.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ __all__ = [
 
 _SIGN_TOL = 1e-9
 _ZERO_TOL = 1e-6
+# Cells per call of a ramp sweep: the working set of one quadrature batch
+# grows with its cells, so a grid is evaluated in slices of this many.
+_SLICE = 128
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,7 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
     Both deltas positive: separability_and_diversity (the beneficial cell);
     negative mean shift: mean_collapse; otherwise a negative variance shift:
     variance_shrink; both negligible: no_distortion.  A cell whose theory
-    evaluation failed has no deltas and is labelled failed (``_run_grid``).
+    evaluation failed has no deltas and is labelled failed (``_rows_or_failed``).
     """
     if abs(delta_mu) < _ZERO_TOL and abs(delta_sigma2) < _ZERO_TOL:
         return "no_distortion"
@@ -92,18 +100,30 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
 
 
 def _run_grid(
-    axis1: AxisSpec, axis2: AxisSpec, cell: Callable[[float, float], SweepRow]
+    axis1: AxisSpec,
+    axis2: AxisSpec,
+    rows_for: Callable[[list[float], list[float]], list[SweepRow]],
+    slice_cells: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate every cell in row-major order; a failed cell becomes a row
-    labelled failed that carries the error text."""
-    rows = []
-    for a in axis1.values().tolist():
-        for b in axis2.values().tolist():
-            try:
-                rows.append(cell(a, b))
-            except CfgLabError as exc:
-                rows.append(SweepRow(a, b, None, None, None, "failed", error=str(exc)))
-    return rows
+    """Evaluate the grid in row-major order, ``rows_for(a, b)`` on the axis
+    values of ``slice_cells`` cells at a time."""
+    a, b = (g.ravel().tolist() for g in np.meshgrid(axis1.values(), axis2.values(), indexing="ij"))
+    return [row for lo in range(0, len(a), slice_cells)
+            for row in _rows_or_failed(rows_for, a[lo:lo + slice_cells], b[lo:lo + slice_cells])]
+
+
+def _rows_or_failed(
+    rows_for: Callable[[list[float], list[float]], list[SweepRow]], a: list[float], b: list[float]
+) -> list[SweepRow]:
+    """rows_for(a, b), or, if it raises, each cell again on its own; a cell
+    that raises alone becomes a row labelled failed that carries the error
+    text."""
+    try:
+        return rows_for(a, b)
+    except CfgLabError as exc:
+        if len(a) == 1:
+            return [SweepRow(a[0], b[0], None, None, None, "failed", error=str(exc))]
+        return [row for x, y in zip(a, b) for row in _rows_or_failed(rows_for, [x], [y])]
 
 
 def _constant_guidance_row(axis1: float, w: float, sigma2: float, beta: float) -> SweepRow:
@@ -119,18 +139,28 @@ def _constant_guidance_row(axis1: float, w: float, sigma2: float, beta: float) -
     )
 
 
+def _ramp_rows(
+    w0: list[float], omega: list[float], deltas: tuple[np.ndarray, np.ndarray]
+) -> list[SweepRow]:
+    """Rows of a slice of ramp cells from their (delta_mu, delta_sigma2) arrays."""
+    return [SweepRow(x, y, None, dm, dv, classify_region(dm, dv))
+            for x, y, dm, dv in zip(w0, omega, deltas[0].tolist(), deltas[1].tolist())]
+
+
 def sweep_beta_w(sigma2: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
     if not (sigma2 > 0):
         raise DomainError("sigma2 must be positive")
-    return _run_grid(axis1, axis2, lambda beta, w: _constant_guidance_row(beta, w, sigma2, beta))
+    return _run_grid(
+        axis1, axis2, lambda beta, w: [_constant_guidance_row(beta[0], w[0], sigma2, beta[0])])
 
 
 def sweep_sigma_w(beta: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (sigma2, w) at fixed beta."""
     if not (beta >= 0):
         raise DomainError("beta must be >= 0")
-    return _run_grid(axis1, axis2, lambda sigma2, w: _constant_guidance_row(sigma2, w, sigma2, beta))
+    return _run_grid(
+        axis1, axis2, lambda sigma2, w: [_constant_guidance_row(sigma2[0], w[0], sigma2[0], beta)])
 
 
 def sweep_schedule_phase_diagram(
@@ -146,11 +176,11 @@ def sweep_schedule_phase_diagram(
     if not (sigma2 > 0):
         raise DomainError("sigma2 must be positive")
 
-    def cell(w0: float, omega: float) -> SweepRow:
-        dm, dv = delta_estimators_linear(0.0, sigma2, Linear(w0, omega))
-        return SweepRow(w0, omega, None, dm, dv, classify_region(dm, dv))
+    def rows(w0: list[float], omega: list[float]) -> list[SweepRow]:
+        sched = Linear(np.array(w0), np.array(omega))
+        return _ramp_rows(w0, omega, delta_estimators_linear(0.0, sigma2, sched))
 
-    return _run_grid(axis1, axis2, cell)
+    return _run_grid(axis1, axis2, rows, _SLICE)
 
 
 def sweep_joint_gaussian_schedule(
@@ -165,10 +195,10 @@ def sweep_joint_gaussian_schedule(
     if not (0 < s < r):
         raise DomainError("need 0 < s < r")
 
-    def cell(w0: float, omega: float) -> SweepRow:
-        sched = Linear(w0, omega)
+    def rows(w0: list[float], omega: list[float]) -> list[SweepRow]:
+        sched = Linear(np.array(w0), np.array(omega))
         lam = lambda_coeff_linear(s, r, sched, 0.0)
         big = Lambda_coeff_linear(s, r, sched, 0.0)
-        return SweepRow(w0, omega, None, lam - 1.0, big - 1.0, classify_region(lam - 1.0, big - 1.0))
+        return _ramp_rows(w0, omega, (lam - 1.0, big - 1.0))
 
-    return _run_grid(axis1, axis2, cell)
+    return _run_grid(axis1, axis2, rows, _SLICE)

@@ -12,6 +12,8 @@ import contextlib
 import math
 from typing import Callable, Iterator
 
+import numpy as np
+
 from cfglab import special_math
 from cfglab.errors import ConvergenceError, DomainError
 from cfglab.special_math import adaptive_quad
@@ -30,11 +32,12 @@ def tight_quadrature() -> Iterator[None]:
 
 
 def improper_quad(
-    integrand: Callable[[float], float],
+    integrand: Callable[[np.ndarray], np.ndarray],
     lo: float,
     tail_bound: Callable[[float], float] | None = None,
 ) -> float:
-    """Integrate ``integrand`` on [lo, inf) by truncating where the tail is small.
+    """Integrate ``integrand`` (elementwise on an array of times) on [lo, inf)
+    by truncating where the tail is small.
 
     ``tail_bound(T)`` must bound |int_T^inf integrand|; the cut T is doubled from
     max(1, 2*lo) until the bound drops below the quadrature's absolute
@@ -54,9 +57,9 @@ def improper_quad(
         return 0.0
     # Log substitution needs a positive start; integrate [lo, start] directly.
     start = max(lo, 1e-8)
-    head = adaptive_quad(integrand, lo, start) if start > lo else 0.0
+    head = adaptive_quad(lambda t, _: integrand(t), lo, start) if start > lo else 0.0
     body = adaptive_quad(
-        lambda y: integrand(math.exp(y)) * math.exp(y),
+        lambda y, _: integrand(np.exp(y)) * np.exp(y),
         math.log(start),
         math.log(t_max),
     )

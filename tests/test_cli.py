@@ -98,6 +98,26 @@ class TestManifests:
         assert manifest["outputs"] == ["j.csv"]
         assert "duration_s" in manifest and manifest["parameters"]["s"] == 0.6
 
+    @pytest.mark.parametrize("argv,counters", [
+        (["beta-w", "--sigma2", "0.5", "--w-min", "-0.9", "--w-max", "0", "--w-points", "2",
+          "--beta-points", "3"], {"cells": 6, "failed_cells": 3}),
+        (["joint-schedule", "--r", "1", "--s", "0.6", "--w0-min", "-0.9", "--w0-max", "-0.6",
+          "--w0-points", "2", "--omega-min", "0", "--omega-points", "3"], {"cells": 6, "failed_cells": 2}),
+        (["schedule", "--sigma2", "0.75", "--w0-points", "2", "--omega-points", "2"],
+         {"cells": 4, "failed_cells": 0}),
+    ], ids=["beta-w", "joint-schedule", "schedule"])
+    def test_sweep_counts_its_cells_and_failures(self, tmp_path, argv, counters):
+        assert main(["--out-dir", str(tmp_path), "sweep", *argv, "--out", "g.csv"]) == 0
+        assert json.loads(_read(tmp_path / "g.csv.manifest.json"))["counters"] == counters
+        _, rows = _rows(tmp_path / "g.csv")
+        assert len(rows) == counters["cells"]
+        assert sum(row[5] == "failed" for row in rows) == counters["failed_cells"]
+
+    def test_only_sweeps_write_counters(self, tmp_path):
+        main(["--out-dir", str(tmp_path), "theory", "joint", "--r", "1", "--s", "0.6",
+              "--w", "0.5", "--out", "j.csv"])
+        assert "counters" not in json.loads(_read(tmp_path / "j.csv.manifest.json"))
+
     def test_workers_recorded_only_where_it_is_read(self, tmp_path):
         main(["--workers", "3", "--out-dir", str(tmp_path), "sweep", "beta-w", "--sigma2", "0.5",
               "--beta-points", "2", "--w-points", "2", "--out", "g.csv"])

@@ -53,8 +53,8 @@ class TestZeta:
         q2 = float(x @ x) / d
 
         def factor(xi):
-            integrand = lambda c: (
-                math.exp(-0.5 * c * c - lam * (xi - c) ** 2 / (2.0 * g))
+            integrand = lambda c, _: (
+                np.exp(-0.5 * c * c - lam * (xi - c) ** 2 / (2.0 * g))
                 / math.sqrt(2.0 * math.pi)
             )
             return math.log(adaptive_quad(integrand, -12.0, 12.0))

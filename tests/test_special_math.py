@@ -16,23 +16,60 @@ from quad_oracle import improper_quad
 
 class TestAdaptiveQuad:
     def test_linear(self):
-        assert adaptive_quad(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert adaptive_quad(lambda x, _: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_sine(self):
-        assert adaptive_quad(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        assert adaptive_quad(lambda x, _: np.sin(x), 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_empty_interval(self):
-        assert adaptive_quad(math.exp, 1.3, 1.3) == 0.0
+        assert adaptive_quad(lambda x, _: np.exp(x), 1.3, 1.3) == 0.0
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
-            adaptive_quad(math.exp, 1.0, 0.0)
+            adaptive_quad(lambda x, _: np.exp(x), 1.0, 0.0)
+        with pytest.raises(DomainError, match=r"got \[1.0, 0.0\]"):  # one reversed member fails the batch
+            adaptive_quad(lambda x, _: np.exp(x), [0.0, 1.0], [1.0, 0.0])
 
     def test_subdivision_exhaustion(self, monkeypatch):
-        nasty = lambda x: math.sin(1.0 / (x + 1e-14)) / math.sqrt(x + 1e-14)
+        nasty = lambda x, _: np.sin(1.0 / (x + 1e-14)) / np.sqrt(x + 1e-14)
         monkeypatch.setattr(special_math, "_MAX_PANELS", 4)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="more than 4 panels"):
             adaptive_quad(nasty, 0.0, 1.0)
+        # in a batch, the nasty member still raises once it reaches the cap
+        with pytest.raises(ConvergenceError, match=r"on \[0.0, 1.0\]"):
+            adaptive_quad(lambda x, k: np.where(k == 1, nasty(x, k), x), [0.0, 0.0], [1.0, 1.0])
+
+    @staticmethod
+    def _family(x, k):
+        """Integral k of a batch: x^(k/3 - 1/2) * cos(k x), singular at 0 for small k."""
+        return x ** (k / 3.0 - 0.5) * np.cos(k * x)
+
+    def test_batch_members_get_their_solo_bits(self):
+        # Different integrals need different numbers of rounds; each member
+        # of the batch returns what it returns alone, bit for bit.
+        lo = np.array([0.0, 0.1, 0.0, 0.5, 0.0, 2.0, 0.0, 1.0])
+        hi = np.array([1.0, 3.0, 0.25, 0.5, 7.0, 9.0, 1.0, 1.5])
+        batch = adaptive_quad(self._family, lo, hi)
+        for k in range(lo.size):
+            alone = adaptive_quad(lambda x, _: self._family(x, np.full(x.shape, k)), lo[k], hi[k])
+            assert batch[k] == alone, k
+        assert batch[3] == 0.0
+        assert batch[0] == pytest.approx(2.0, rel=1e-8)  # int_0^1 x^(-1/2) dx
+        grid = adaptive_quad(self._family, lo.reshape(2, 4), hi.reshape(2, 4))
+        assert grid.tolist() == batch.reshape(2, 4).tolist()
+
+    def test_a_nan_integral_stops_at_once(self):
+        # A nan error estimate ends that integral at once; the rest of the
+        # batch converges as usual.
+        calls = []
+
+        def f(x, k):
+            calls.append(x.size)
+            return np.where(k == 0, np.nan, x * x)
+
+        got = adaptive_quad(f, [0.0, 0.0], [1.0, 2.0])
+        assert math.isnan(got[0]) and got[1] == pytest.approx(8.0 / 3.0, abs=1e-12)
+        assert calls == [30]  # one call: both stop on their first panel
 
 
 class TestImproperQuad:
@@ -42,7 +79,7 @@ class TestImproperQuad:
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_exponential_tail(self):
-        val = improper_quad(lambda t: math.exp(-t), 0.0, tail_bound=lambda T: math.exp(-T))
+        val = improper_quad(lambda t: np.exp(-t), 0.0, tail_bound=lambda T: math.exp(-T))
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_requires_tail_bound(self):

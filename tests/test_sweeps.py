@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from cfglab.errors import DomainError
-from cfglab.mixture_theory import MixtureTheoryParams, assemble_trajectory
-from cfglab.schedule import Constant
+from cfglab import special_math, sweeps
+from cfglab.errors import ConvergenceError, DomainError
+from cfglab.joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
+from cfglab.mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
+from cfglab.schedule import Constant, Linear
 from cfglab.sweeps import (
     AxisSpec,
     classify_region,
@@ -14,6 +16,88 @@ from cfglab.sweeps import (
     sweep_schedule_phase_diagram,
     sweep_sigma_w,
 )
+
+
+# (delta_mu, delta_sigma2) of the 6x6 ramp grid w0 in [-1, 1] x omega in
+# [0.125, 5], row-major, as the one-integral-at-a-time quadrature gave them
+# before the ramp sweeps were batched.
+_RAMP_AXES_6X6 = (AxisSpec("w0", -1.0, 1.0, 6), AxisSpec("omega", 0.125, 5.0, 6))
+_PINNED_SCHEDULE_6X6 = [  # sweep_schedule_phase_diagram(0.75, ...)
+    (0.7499999998759308, 0.7713490857819325),
+    (0.7500000028241727, 0.12814589036377777),
+    (0.7499999998772837, -0.07388003036614033),
+    (0.749999999971747, -0.18098618255801135),
+    (0.7500000001101974, -0.24972291387060608),
+    (0.7499999999999944, -0.2985527032829557),
+    (0.7500000002887708, 0.33162635790510153),
+    (0.7500000019900097, -0.06020465654554685),
+    (0.7499999996330355, -0.1961789399743441),
+    (0.7499999999842715, -0.27216412814639723),
+    (0.7500000000776417, -0.32265090348064684),
+    (0.7499999999999931, -0.3594358497433585),
+    (0.7500000004745111, 0.04663794618519446),
+    (0.750000001402052, -0.19597266979922157),
+    (0.7499999997385978, -0.28882647974732445),
+    (0.7499999999918772, -0.34340501218032016),
+    (0.7500000000547067, -0.380888859554899),
+    (0.749999999999994, -0.4088655600568897),
+    (0.7500000005296039, -0.14280425398375574),
+    (0.7500000009876815, -0.29570487320559796),
+    (0.7499999998133939, -0.36006556973744597),
+    (0.7499999999963707, -0.39976145317504175),
+    (0.7500000000385452, -0.42789271340299934),
+    (0.7499999999999953, -0.44937308746902493),
+    (0.7500000005138114, -0.27213559782273206),
+    (0.750000000695684, -0.37035155541508913),
+    (0.749999999867399, -0.4156466979859784),
+    (0.7499999999989244, -0.44488259545311754),
+    (0.7500000000271589, -0.4662223244062984),
+    (0.7499999999999956, -0.4828704917704889),
+    (0.7500000010105485, -0.36287791108994844),
+    (0.7500000010695613, -0.42725537055486645),
+    (0.749999999905796, -0.45962700069769274),
+    (0.7500000000077809, -0.4814299170634451),
+    (0.7500000000191349, -0.49779036579038627),
+    (0.7499999999999944, -0.510813440625144),
+]
+_PINNED_JOINT_SCHEDULE_6X6 = [  # sweep_joint_gaussian_schedule(1.0, 0.6, ...)
+    (1.4999999999194569, 0.577032010257845),
+    (1.499999999690926, 0.1711286778700012),
+    (1.5000000001416192, -0.025339358234330978),
+    (1.5000000037334495, -0.14668025363440662),
+    (1.5000000012107844, -0.23117896553438233),
+    (1.4999999999999916, -0.2944039651858603),
+    (1.5000000002844862, 0.2808420577631474),
+    (1.4999999999007398, -0.014162542194849803),
+    (1.500000000078352, -0.16213546083153418),
+    (1.5000000030169236, -0.25584897046002497),
+    (1.500000000980965, -0.322357928943918),
+    (1.499999999999993, -0.3728751083759676),
+    (1.5000000010711916, 0.054375562553189205),
+    (1.5000000000334466, -0.16119222655570276),
+    (1.500000000033633, -0.27328353749850076),
+    (1.5000000024377251, -0.3460656867097729),
+    (1.5000000007947363, -0.39869295222519807),
+    (1.4999999999999933, -0.4392582770239223),
+    (1.500000001355008, -0.12040121860170938),
+    (1.5000000001369802, -0.27884080857907456),
+    (1.5000000001534448, -0.364264242532494),
+    (1.500000001969568, -0.4211167199747792),
+    (1.5000000006438365, -0.46298542736034065),
+    (1.499999999999993, -0.4957245194176435),
+    (1.5000000014973378, -0.256603324859201),
+    (1.5000000001943823, -0.3737819432170151),
+    (1.4999999998094355, -0.43929208996139246),
+    (1.5000000015911898, -0.4839648842207265),
+    (1.5000000005215672, -0.517458129510618),
+    (1.4999999999999933, -0.5440163134013714),
+    (1.5000000015407826, -0.3638157396358731),
+    (1.5000000002258895, -0.45105645429675156),
+    (1.4999999999690705, -0.5016238500003738),
+    (1.500000001285398, -0.5369393434444196),
+    (1.5000000004225003, -0.563882425729042),
+    (1.499999999999993, -0.5855379188712534),
+]
 
 
 class TestClassifier:
@@ -148,3 +232,57 @@ class TestJointScheduleSweep:
         axes = (AxisSpec("w0", -1.0, 1.0, 2), AxisSpec("omega", 0.5, 1.0, 2))
         with pytest.raises(DomainError):
             sweep_joint_gaussian_schedule(0.6, 1.0, *axes)  # s > r
+
+
+class TestRampSweepBatches:
+    """The ramp sweeps evaluate slices of cells in one quadrature batch."""
+
+    @staticmethod
+    def _both_sweeps(axes):
+        return (sweep_schedule_phase_diagram(0.75, *axes), sweep_joint_gaussian_schedule(1.0, 0.6, *axes))
+
+    def test_grid_matches_the_pinned_values(self):
+        for table, pinned in zip(self._both_sweeps(_RAMP_AXES_6X6),
+                                 (_PINNED_SCHEDULE_6X6, _PINNED_JOINT_SCHEDULE_6X6)):
+            assert len(table) == len(pinned)
+            for row, (dm, dv) in zip(table, pinned):
+                assert row.delta_mu == pytest.approx(dm, rel=1e-12, abs=0.0)
+                assert row.delta_sigma2 == pytest.approx(dv, rel=1e-12, abs=0.0)
+
+    def test_cells_equal_their_scalar_calls_bit_for_bit(self, monkeypatch):
+        # Slices of 5 cells put the 36 cells in 8 batches of different sizes.
+        monkeypatch.setattr(sweeps, "_SLICE", 5)
+        schedule, joint = self._both_sweeps(_RAMP_AXES_6X6)
+        for row in schedule:
+            sched = Linear(row.axis1_value, row.axis2_value)
+            assert (row.delta_mu, row.delta_sigma2) == delta_estimators_linear(0.0, 0.75, sched)
+        for row in joint:
+            sched = Linear(row.axis1_value, row.axis2_value)
+            assert row.delta_mu == lambda_coeff_linear(0.6, 1.0, sched, 0.0) - 1.0
+            assert row.delta_sigma2 == Lambda_coeff_linear(0.6, 1.0, sched, 0.0) - 1.0
+
+    def test_slicing_does_not_change_a_bit(self, monkeypatch):
+        whole = self._both_sweeps(_RAMP_AXES_6X6)
+        for size in (1, 7, 36):
+            monkeypatch.setattr(sweeps, "_SLICE", size)
+            assert self._both_sweeps(_RAMP_AXES_6X6) == whole
+
+    def test_cells_past_the_panel_cap_fail_alone(self, monkeypatch):
+        axes = (AxisSpec("w0", -1.0, 1.0, 4), AxisSpec("omega", 0.125, 5.0, 4))
+        clean = sweep_joint_gaussian_schedule(1.0, 0.6, *axes)
+        monkeypatch.setattr(special_math, "_MAX_PANELS", 12)
+        capped = sweep_joint_gaussian_schedule(1.0, 0.6, *axes)
+        failed = [r for r in capped if r.region_label == "failed"]
+        assert 0 < len(failed) < len(capped)
+        for row, before in zip(capped, clean):
+            if row.region_label != "failed":
+                assert row == before
+                continue
+            assert (row.axis1_value, row.axis2_value) == (before.axis1_value, before.axis2_value)
+            assert row.delta_mu is None and row.delta_sigma2 is None
+            sched = Linear(row.axis1_value, row.axis2_value)
+            with pytest.raises(ConvergenceError) as info:
+                lambda_coeff_linear(0.6, 1.0, sched, 0.0)
+                Lambda_coeff_linear(0.6, 1.0, sched, 0.0)
+            assert row.error == str(info.value)
+            assert row.error.startswith("quadrature needs more than 12 panels")

@@ -41,31 +41,52 @@ def test_score_factory_takes_the_arguments_the_tracer_binds():
     assert "inst" in parameters and "softmax_dtype" in parameters
 
 
-def test_wrapped_names_are_still_called(tmp_path):
-    # A wrapped name that resolves but is no longer called reads as a silent
-    # zero; run the four sweeps at 2x2 points under the tracer and count spans.
+_SWEEP_ARGV = {
+    "beta-w": ["--sigma2", "0.5", "--beta-points", "2", "--w-points", "2"],
+    "sigma-w": ["--beta", "0.1", "--sigma2-points", "2", "--w-points", "2"],
+    "schedule": ["--sigma2", "0.75", "--w0-points", "2", "--omega-points", "2"],
+    "joint-schedule": ["--r", "1", "--s", "0.6", "--w0-points", "2", "--omega-points", "2"],
+}
+
+
+def _traced_calls(tmp_path, kinds):
+    """Span counts by name of the sweeps ``kinds`` at 2x2 points under the tracer."""
     from cfglab.cli import main
 
-    sweeps = [
-        ["beta-w", "--sigma2", "0.5", "--beta-points", "2", "--w-points", "2"],
-        ["sigma-w", "--beta", "0.1", "--sigma2-points", "2", "--w-points", "2"],
-        ["schedule", "--sigma2", "0.75", "--w0-points", "2", "--omega-points", "2"],
-        ["joint-schedule", "--r", "1", "--s", "0.6", "--w0-points", "2", "--omega-points", "2"],
-    ]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for argv in sweeps:
-            assert main(["--out-dir", str(tmp_path), "sweep", *argv]) == 0
+        for kind in kinds:
+            assert main(["--out-dir", str(tmp_path), "sweep", kind, *_SWEEP_ARGV[kind]]) == 0
     finally:
         tracer.uninstall()
     assert not tracer.missing
-    calls = tracing.SpanStats(tracer.spans).calls
+    return tracing.SpanStats(tracer.spans).calls
+
+
+def test_wrapped_names_are_still_called(tmp_path):
+    # A wrapped name that resolves but is no longer called reads as a silent
+    # zero; run the four sweeps at 2x2 points under the tracer and count spans.
+    calls = _traced_calls(tmp_path, list(_SWEEP_ARGV))
     expected = {
-        "joint_gaussian.coeff_linear": 16,  # lambda and Lambda per ramp cell, two ramp sweeps
-        "mixture_theory.delta_linear": 4,
+        # A ramp sweep evaluates a 2x2 grid as one slice: lambda and Lambda once each.
+        "joint_gaussian.coeff_linear": 4,
+        "mixture_theory.delta_linear": 1,
         "mixture_theory.assemble": 8,
         "mixture_theory.speciation": 8,
         **{name: 1 for name in tracing.SWEEP_SPANS},
     }
     assert {name: calls(name) for name in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "kind,path",
+    [
+        ("schedule", ["mixture_theory.delta_linear", "joint_gaussian.coeff_linear",
+                      "special_math.beta", "special_math.quad"]),
+        ("joint-schedule", ["joint_gaussian.coeff_linear", "special_math.beta", "special_math.quad"]),
+    ],
+)
+def test_every_wrapped_name_on_a_ramp_sweep_path_is_called(tmp_path, kind, path):
+    calls = _traced_calls(tmp_path, [kind])
+    assert all(calls(name) >= 1 for name in path), {name: calls(name) for name in path}
