@@ -38,7 +38,7 @@ from .mixture_theory import (
 )
 from .schedule import Constant, Linear, guidance_level
 from .simulator import make_mixture_score_fn, sample_centroids
-from .special_math import BetaArgs, incomplete_beta_definite
+from .special_math import incomplete_beta_definite
 from .sweeps import AxisSpec, sweep_schedule_phase_diagram
 
 
@@ -271,8 +271,7 @@ def criterion_7_schedule_phase_diagram() -> tuple[bool, str]:
 
     Every separability_and_diversity cell has w0 < 0; every cell with
     w(t) >= 0 for all t (i.e. w0 >= 0) has delta_sigma2 < 0."""
-    w0, omega = AxisSpec("w0", -1.0, 1.0, 40), AxisSpec("omega", 0.125, 5.0, 40)
-    rows = sweep_schedule_phase_diagram(0.75, w0, omega)
+    rows = sweep_schedule_phase_diagram(0.75, *(AxisSpec(*axis) for axis in cli._RAMP_AXES))
     bad_beneficial = [
         r for r in rows if r.region_label == "separability_and_diversity" and r.axis1_value >= 0
     ]
@@ -349,11 +348,11 @@ def criterion_8_oracle_suite() -> tuple[bool, str]:
     msgs = []
 
     # (a) incomplete Beta: polynomial antiderivative r^2/2 - 2 r^3/3 + r^4/4
-    val = incomplete_beta_definite(BetaArgs(2.0, 3.0, 0.2, 0.8))
+    val = incomplete_beta_definite(2.0, 3.0, 0.2, 0.8)
     poly = lambda r: r * r / 2 - 2 * r**3 / 3 + r**4 / 4
     if abs(val - (poly(0.8) - poly(0.2))) > 1e-8:
         return False, f"Beta(2,3) vs antiderivative: {val}"
-    val = incomplete_beta_definite(BetaArgs(1.0, 1.0, 0.0, 0.37))
+    val = incomplete_beta_definite(1.0, 1.0, 0.0, 0.37)
     if abs(val - 0.37) > 1e-8:
         return False, f"Beta(1,1) identity: {val}"
     # singular exponents vs a dense trapezoid on the de-singularised variables
@@ -364,13 +363,13 @@ def criterion_8_oracle_suite() -> tuple[bool, str]:
     left = float(trapezoid((1.0 - u2 ** (1.0 / a)) ** (b - 1.0) / a, u2))
     u3 = np.linspace(0.0, 0.5**b, 2_000_001)
     right = float(trapezoid((1.0 - u3 ** (1.0 / b)) ** (a - 1.0) / b, u3))
-    val = incomplete_beta_definite(BetaArgs(a, b, 0.0, 1.0))
+    val = incomplete_beta_definite(a, b, 0.0, 1.0)
     if abs(val - (left + right)) > 1e-8:
         return False, f"Beta({a},{b},0,1) vs dense grid: {val} vs {left + right}"
     # complete Beta vs product of gammas for small integers
     for ia, ib in ((2, 3), (3, 2), (4, 2)):
         exact = math.gamma(ia) * math.gamma(ib) / math.gamma(ia + ib)
-        got = incomplete_beta_definite(BetaArgs(float(ia), float(ib), 0.0, 1.0))
+        got = incomplete_beta_definite(float(ia), float(ib), 0.0, 1.0)
         if abs(got - exact) > 1e-10:
             return False, f"complete Beta({ia},{ib}) {got} != {exact}"
     msgs.append("beta ok")

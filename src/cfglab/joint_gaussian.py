@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
-from .special_math import BetaArgs, FloatOrArray, _flat, incomplete_beta_definite
+from .special_math import FloatOrArray, _flat, incomplete_beta_definite
 
 __all__ = [
     "JointGaussianModel",
@@ -86,43 +86,46 @@ class JointGaussianModel:
         return self.basis.shape[0]
 
 
-def _check_sr_t(s: float, r: float, t: float) -> None:
-    if not (0.0 < s <= r):
-        raise DomainError(f"need 0 < s <= r, got s={s}, r={r}")
-    if not (t >= 0.0):
-        raise DomainError(f"need t >= 0, got t={t}")
+def _check_pair(s: float, r: float) -> None:
+    if not (0.0 < s <= r < math.inf):
+        raise DomainError(f"need 0 < s <= r < inf, got s={s}, r={r}")
+
+
+def _ratio_power_m1(s: float, r: float, k: float, t: FloatOrArray) -> FloatOrArray:
+    """((s+t)/(r+t))^k - 1 through expm1/log1p, so s -> r stays exact; ``math``
+    for a float t (it rounds differently from numpy), numpy for an array.  Once
+    s is below the resolution of r + t the ratio rounds to -1, where a float
+    takes numpy's log1p limit -inf (``math.log1p`` raises)."""
+    x = (s - r) / (r + t)
+    if isinstance(t, np.ndarray):
+        return np.expm1(k * np.log1p(x))
+    return math.expm1(k * (math.log1p(x) if x > -1.0 else -math.inf))
 
 
 def lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r, unchecked
-    (``propagate`` checks), through expm1/log1p so s -> r stays exact.
-
-    A float t is evaluated with ``math`` (whose log1p/expm1 round differently
-    from numpy's), an array of times elementwise with numpy."""
-    xp = np if isinstance(t, np.ndarray) else math
-    return (r + t) * xp.expm1((w + 1.0) * xp.log1p((s - r) / (r + t))) / (s - r)
+    (``propagate`` checks); t a float or an array, as in ``_ratio_power_m1``."""
+    return (r + t) * _ratio_power_m1(s, r, w + 1.0, t) / (s - r)
 
 
 def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(1+2w)/(r+t)^(2w) - (r+t)) / ((2w+1)(s-r)) for s != r, unchecked
     (``propagate`` checks); t as in ``lambda_formula``."""
-    xp = np if isinstance(t, np.ndarray) else math
     k = 2.0 * w + 1.0
-    return (r + t) * xp.expm1(k * xp.log1p((s - r) / (r + t))) / (k * (s - r))
+    return (r + t) * _ratio_power_m1(s, r, k, t) / (k * (s - r))
 
 
 def propagate(
     s: float, r: float, w: float, t: FloatOrArray, start: Optional[tuple[float, float, float]] = None
 ) -> tuple[FloatOrArray, FloatOrArray]:
-    """(mean_coeff, variance) of the pair 0 < s <= r at time t (a float or an
+    """(mean_coeff, variance) of the pair 0 < s <= r < inf at time t (a float or an
     array, checked elementwise) under constant w > -1/2: the horizon-free
     (lambda, (s+t) Lambda), whose s = r limit is (1+w, s+t), or seeded by
     ``start=(T, mean_T, var_T)`` at a finite T >= t, whose gap to them the
     linear dynamics decay by D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for
     the variance).  w = 0 gives lambda = Lambda = 1 to rounding, and w >= 0
     implies lambda >= 1 and Lambda <= 1."""
-    if not (0.0 < s <= r):
-        raise DomainError(f"need 0 < s <= r, got s={s}, r={r}")
+    _check_pair(s, r)
     if not (w > -0.5):
         raise DomainError(f"constant guidance requires w > -1/2, got {w}")
     T = math.inf if start is None else start[0]
@@ -147,7 +150,9 @@ def _per_ramp(s: float, r: float, sched: Linear, t: float,
     """A ramp coefficient at every (w0, omega) of sched: constant(w0) one cell
     at a time where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
     on the other cells as one batch.  A float for a float schedule."""
-    _check_sr_t(s, r, t)
+    _check_pair(s, r)
+    if not (t >= 0.0):
+        raise DomainError(f"need t >= 0, got t={t}")
     shape, (w0, omega) = _flat(sched.w0, sched.omega)
     out = np.empty(w0.size)
     level = omega == 0.0
@@ -189,7 +194,7 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrA
         a1 = omega * s - w0 - 1.0
         c1 = 1.0 + w0 - omega * s
         terms = incomplete_beta_definite(
-            BetaArgs(np.concatenate([a1, a1 + 1.0]), np.concatenate([p + 1.0, p]), f_t, 1.0))
+            np.concatenate([a1, a1 + 1.0]), np.concatenate([p + 1.0, p]), f_t, 1.0)
         term1, term2 = terms[:w0.size], terms[w0.size:]
         pref = (s + t) ** c1 * (r + t) ** (omega * r - w0) * (r - s) ** (-p - 1.0)
         return pref * (c1 * term1 + p * term2)
@@ -210,7 +215,7 @@ def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrA
         f_t = (s + t) / (r + t)
         p = omega * (r - s)
         a = 2.0 * (omega * s - w0) - 1.0
-        integral = incomplete_beta_definite(BetaArgs(a, 2.0 * p + 1.0, f_t, 1.0))
+        integral = incomplete_beta_definite(a, 2.0 * p + 1.0, f_t, 1.0)
         pref = (
             (s + t) ** (1.0 + 2.0 * (w0 - omega * s))
             * (r + t) ** (2.0 * omega * r - 2.0 * w0)

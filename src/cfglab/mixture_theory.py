@@ -93,8 +93,8 @@ class MixtureTheoryParams:
     schedule: GuidanceSchedule
 
     def __post_init__(self) -> None:
-        if not (self.sigma2 > 0):
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (0 < self.sigma2 < math.inf):
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not (self.beta >= 0):
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
@@ -219,7 +219,8 @@ def sample_path_report(sigma2: float, beta: float, w: float) -> DistortionReport
         return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
 
     t_s = _switch_root(switch)
-    return _report(_moments_at(0.0, t_s, sigma2, params.schedule), sigma2, t_s)
+    at_zero = _moments_at(0.0, t_s, sigma2, params.schedule)
+    return DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
 
 
 def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
@@ -285,11 +286,6 @@ def _moments_at(
     return GuidedMoments(t, *propagate(sigma2, sigma2 + 1.0, 0.0, t, start), CONDITIONAL)
 
 
-def _report(at_zero: GuidedMoments, sigma2: float, t_s: Optional[float]) -> DistortionReport:
-    """Distortion of the t = 0 moments of the trajectory switching at t_s."""
-    return DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
-
-
 def assemble_trajectory(
     params: MixtureTheoryParams, t_grid: list[float]
 ) -> tuple[list[GuidedMoments], DistortionReport]:
@@ -306,7 +302,7 @@ def assemble_trajectory(
     t_s = speciation_time(params) if isinstance(sched, Constant) else None
     trajectory = [_moments_at(t, t_s, sigma2, sched) for t in t_grid]
     at_zero = trajectory[0] if t_grid and t_grid[0] == 0.0 else _moments_at(0.0, t_s, sigma2, sched)
-    return trajectory, _report(at_zero, sigma2, t_s)
+    return trajectory, DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
 
 
 def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:

@@ -211,7 +211,8 @@ def make_mixture_score_fn(
     - that product is added into the tile's accumulator after the
       accumulator is rescaled by exp(old max - new max), the online softmax
       of Milakov & Gimelshein (arXiv:1805.02867), so the logits held do not
-      grow with M.  With one chunk (M <= ``_CHUNK``) there is no rescale.
+      grow with M.  A tile starts at a running max of -inf and an accumulator
+      of 0, so the first chunk's rescale is 0 * exp(-inf) = 0 like any other.
     Tiles start at the first row, so a batch of whole 1024-row blocks splits
     into the same tiles as each block alone and every row gets the same bytes.
 
@@ -251,30 +252,23 @@ def make_mixture_score_fn(
         np.divide(x, g, out=queries[:, :d])
         queries[:, d] = 0.0
         queries[:, d + 1] = 1.0 / g
-        acc = np.empty((n, d + 1), dtype=softmax_dtype)
+        acc = np.zeros((n, d + 1), dtype=softmax_dtype)
         rows = min(n, _TILE)
         logits = np.empty((rows, width), dtype=softmax_dtype)
         part = np.empty((rows, d + 1), dtype=softmax_dtype)
-        maxes = np.empty((2, rows, 1), dtype=softmax_dtype)
         for lo in range(0, n, _TILE):
             q, a = queries[lo:lo + _TILE], acc[lo:lo + _TILE]
             k = len(q)
-            old, new = maxes[:, :k]
-            for i, (keys, values) in enumerate(chunks):
+            running = np.full((k, 1), -np.inf, dtype=softmax_dtype)
+            for keys, values in chunks:
                 tile = logits[:k, :len(values)]
                 np.matmul(q, keys, out=tile)
-                np.max(tile, axis=1, keepdims=True, out=new)
-                if i:
-                    np.maximum(new, old, out=new)
+                new = np.maximum(running, tile.max(axis=1, keepdims=True))
                 tile -= new
                 np.exp(tile, out=tile)
-                if i:
-                    np.subtract(old, new, out=old)
-                    a *= np.exp(old, out=old)
-                    a += np.matmul(tile, values, out=part[:k])
-                else:
-                    np.matmul(tile, values, out=a)
-                old, new = new, old
+                a *= np.exp(running - new)
+                a += np.matmul(tile, values, out=part[:k])
+                running = new
         # The float64 epilogue runs in place, in the order of
         # (1 + w) * cond - w * (mean - x) / g, so it rounds as that does.
         np.divide(acc[:, :d], acc[:, d:], out=acc[:, :d])

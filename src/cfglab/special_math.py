@@ -7,9 +7,9 @@ Self-contained implementations (no external special-function dependency) of
   and one round bisects the worst panel of every unfinished integral with a
   single array call of the integrand on all their nodes,
 * definite incomplete Beta integrals  int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr
-  on arrays of arguments, all in one quadrature batch, including exponents
-  a <= 0 (only with f1 > 0) and endpoint regularisation by change of
-  variable when 0 < a < 1 or 0 < b < 1,
+  on floats or broadcast arrays, checked once and integrated in one
+  quadrature batch, including exponents a <= 0 (only with f1 > 0) and
+  endpoint regularisation by change of variable when 0 < a < 1 or 0 < b < 1,
 * bracketed root finding for the largest root: one multisection round
   evaluates the function once on an array of equispaced points and keeps the
   last sub-bracket where the sign changes, then Brent's method refines that
@@ -25,7 +25,6 @@ All functions are pure; the module holds no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -33,7 +32,6 @@ import numpy as np
 from .errors import BracketError, ConvergenceError, DomainError
 
 __all__ = [
-    "BetaArgs",
     "adaptive_quad",
     "incomplete_beta_definite",
     "bisection_root",
@@ -66,31 +64,6 @@ def _flat(*values: FloatOrArray) -> tuple[tuple[int, ...], list[np.ndarray]]:
             x = np.full(shape, x) if x.ndim == 0 else np.broadcast_to(x, shape)
         flat.append(x.ravel())
     return shape, flat
-
-
-@dataclass(frozen=True)
-class BetaArgs:
-    """Arguments of definite incomplete Beta integrals on [f1, f2]: floats, or
-    arrays that broadcast together (one integral per element)."""
-
-    a: FloatOrArray
-    b: FloatOrArray
-    f1: FloatOrArray
-    f2: FloatOrArray
-
-    def __post_init__(self) -> None:
-        _, (a, b, f1, f2) = _flat(self.a, self.b, self.f1, self.f2)
-        in_range = (0.0 <= f1) & (f1 <= f2) & (f2 <= 1.0)
-        if np.count_nonzero(in_range) < in_range.size:
-            i = int(np.argmin(in_range))
-            raise DomainError(f"need 0 <= f1 <= f2 <= 1, got f1={f1[i]}, f2={f2[i]}")
-        if np.count_nonzero((f1 == 0.0) & (a <= 0.0)):
-            raise DomainError("a <= 0 requires a strictly positive lower limit f1")
-        if np.count_nonzero((f2 == 1.0) & (b <= 0.0)):
-            raise DomainError("b <= 0 requires an upper limit f2 < 1")
-        for name, value in (("a", a), ("b", b), ("f1", f1), ("f2", f2)):
-            if np.count_nonzero(np.isfinite(value)) < value.size:
-                raise DomainError(f"{name} must be finite")
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the Gauss nodes
@@ -213,18 +186,32 @@ def _near_zero_end(own: np.ndarray, other: np.ndarray, x1: np.ndarray,
     return x1, x2**c, np.where(sub, 0.0, own - 1.0), 1.0 / c, other - 1.0, c
 
 
-def incomplete_beta_definite(args: BetaArgs) -> FloatOrArray:
+def incomplete_beta_definite(a: FloatOrArray, b: FloatOrArray, f1: FloatOrArray,
+                             f2: FloatOrArray) -> FloatOrArray:
     """Definite incomplete Beta integrals int_{f1}^{f2} r^(a-1) (1-r)^(b-1) dr.
 
-    One integral per element of the broadcast arguments, all in one
-    ``adaptive_quad`` batch; a float for float arguments.  Each integral is
-    split at r = 1/2 so each endpoint is treated by the piece that owns it:
-    the left piece in r, the right one in u = 1 - r.  Integrable endpoint
-    singularities (0 < a < 1 at r=0, 0 < b < 1 at r=1) are removed exactly by
-    the substitutions r = v^(1/a) and 1-r = v^(1/b); the remaining
+    The arguments are floats or arrays that broadcast together: one integral
+    per element, all in one ``adaptive_quad`` batch; a float for float
+    arguments.  DomainError unless every element is finite with
+    0 <= f1 <= f2 <= 1, f1 > 0 where a <= 0 and f2 < 1 where b <= 0.  Each
+    integral is split at r = 1/2 so each endpoint is treated by the piece that
+    owns it: the left piece in r, the right one in u = 1 - r.  Integrable
+    endpoint singularities (0 < a < 1 at r=0, 0 < b < 1 at r=1) are removed
+    exactly by the substitutions r = v^(1/a) and 1-r = v^(1/b); the remaining
     integrands are bounded.
     """
-    shape, (a, b, f1, f2) = _flat(args.a, args.b, args.f1, args.f2)
+    shape, (a, b, f1, f2) = _flat(a, b, f1, f2)
+    in_range = (0.0 <= f1) & (f1 <= f2) & (f2 <= 1.0)
+    if np.count_nonzero(in_range) < in_range.size:
+        i = int(np.argmin(in_range))
+        raise DomainError(f"need 0 <= f1 <= f2 <= 1, got f1={f1[i]}, f2={f2[i]}")
+    if np.count_nonzero((f1 == 0.0) & (a <= 0.0)):
+        raise DomainError("a <= 0 requires a strictly positive lower limit f1")
+    if np.count_nonzero((f2 == 1.0) & (b <= 0.0)):
+        raise DomainError("b <= 0 requires an upper limit f2 < 1")
+    for name, value in (("a", a), ("b", b)):  # 0 <= f1 <= f2 <= 1 holds f1, f2 finite
+        if np.count_nonzero(np.isfinite(value)) < value.size:
+            raise DomainError(f"{name} must be finite")
     left_hi, right_lo = np.minimum(f2, 0.5), np.maximum(f1, 0.5)
     left, right = np.flatnonzero(f1 < left_hi), np.flatnonzero(right_lo < f2)
     pieces = [np.concatenate(parts) for parts in zip(
@@ -259,14 +246,13 @@ def bisection_root(
     kept.  Brent's method (inverse quadratic and secant steps, with a
     bisection fallback that bounds the worst case) then refines that
     sub-bracket, one float call of g per step, until it is within tol or at
-    float resolution.  A bracket already within tol costs one call of g on
-    its two ends.  A point where g is exactly zero is returned as it is.
+    float resolution.  A point where g is exactly zero is returned as it is.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    xs = np.array([lo, hi]) if hi - lo <= tol else lo + (hi - lo) * _SECTION_FRACTIONS
+    xs = lo + (hi - lo) * _SECTION_FRACTIONS
     xs[-1] = hi
     values = g(xs)
     g_lo, g_hi = values[0], values[-1]
@@ -276,8 +262,6 @@ def bisection_root(
         return hi
     if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
-    if xs.size == 2:
-        return 0.5 * (lo + hi)
     sign_hi = 1.0 if g_hi > 0 else -1.0
     signs = np.sign(values)
     signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known

@@ -16,12 +16,13 @@ each integral independently of the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CfgLabError, DomainError
+from .errors import CfgLabError, DomainError, NumericalError
 from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from .mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
 from .schedule import Constant, Linear
@@ -87,9 +88,11 @@ def classify_region(delta_mu: float, delta_sigma2: float) -> str:
 
     Both deltas positive: separability_and_diversity (the beneficial cell);
     negative mean shift: mean_collapse; otherwise a negative variance shift:
-    variance_shrink; both negligible: no_distortion.  A cell whose theory
-    evaluation failed has no deltas and is labelled failed (``_rows_or_failed``).
+    variance_shrink; both negligible: no_distortion.  A non-finite delta raises
+    NumericalError: such a cell is labelled failed (``_rows_or_failed``).
     """
+    if not (math.isfinite(delta_mu) and math.isfinite(delta_sigma2)):
+        raise NumericalError(f"non-finite delta_mu={delta_mu} or delta_sigma2={delta_sigma2}")
     if abs(delta_mu) < _ZERO_TOL and abs(delta_sigma2) < _ZERO_TOL:
         return "no_distortion"
     if delta_mu > _SIGN_TOL and delta_sigma2 > _SIGN_TOL:
@@ -149,8 +152,8 @@ def _ramp_rows(
 
 def sweep_beta_w(sigma2: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
-    if not (sigma2 > 0):
-        raise DomainError("sigma2 must be positive")
+    if not (0 < sigma2 < math.inf):
+        raise DomainError("sigma2 must be positive and finite")
     return _run_grid(
         axis1, axis2, lambda beta, w: [_constant_guidance_row(beta[0], w[0], sigma2, beta[0])])
 
@@ -173,8 +176,8 @@ def sweep_schedule_phase_diagram(
     reported.  delta_sigma2 is the absolute variance deviation (see
     ``delta_estimators_linear``).
     """
-    if not (sigma2 > 0):
-        raise DomainError("sigma2 must be positive")
+    if not (0 < sigma2 < math.inf):
+        raise DomainError("sigma2 must be positive and finite")
 
     def rows(w0: list[float], omega: list[float]) -> list[SweepRow]:
         sched = Linear(np.array(w0), np.array(omega))
@@ -192,8 +195,8 @@ def sweep_joint_gaussian_schedule(
     classifier applies: separability_and_diversity marks the beneficial cells
     where the mean and the covariance are both expanded.
     """
-    if not (0 < s < r):
-        raise DomainError("need 0 < s < r")
+    if not (0 < s < r < math.inf):
+        raise DomainError("need 0 < s < r < inf")
 
     def rows(w0: list[float], omega: list[float]) -> list[SweepRow]:
         sched = Linear(np.array(w0), np.array(omega))

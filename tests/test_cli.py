@@ -321,17 +321,24 @@ class TestExitCodes:
         [
             ["theory", "mixture", "--sigma2", "0.5", "--beta", "nan", "--w", "1"],
             ["theory", "mixture", "--sigma2", "nan", "--beta", "0.5", "--w", "1"],
+            ["theory", "mixture", "--sigma2", "inf", "--beta", "0.5", "--w", "1"],
+            ["theory", "joint", "--r", "inf", "--s", "0.5", "--w", "1"],
             ["theory", "mixture", "--sigma2", "0.5", "--beta", "-1", "--w", "1"],
             ["theory", "mixture", "--sigma2", "0.5", "--beta", "-1", "--w0", "0", "--omega", "1"],
             ["sweep", "sigma-w", "--beta", "nan", "--sigma2-points", "2", "--w-points", "2"],
             ["sweep", "beta-w", "--sigma2", "nan", "--beta-points", "2", "--w-points", "2"],
+            ["sweep", "beta-w", "--sigma2", "inf", "--beta-points", "2", "--w-points", "2"],
             ["sweep", "schedule", "--sigma2", "nan", "--w0-points", "2", "--omega-points", "2"],
+            ["sweep", "schedule", "--sigma2", "inf", "--w0-points", "2", "--omega-points", "2"],
+            ["sweep", "joint-schedule", "--r", "inf", "--s", "0.5", "--w0-points", "2",
+             "--omega-points", "2"],
             ["simulate", "joint", "--d2", "0", "--w", "1", "--n", "10"],
             ["simulate", "joint", "--d2", "-2", "--w", "1", "--n", "10"],
         ],
-        ids=["theory_beta_nan", "theory_sigma2_nan", "theory_beta_negative",
-             "theory_ramp_beta_negative", "sigma_w_beta_nan", "beta_w_sigma2_nan",
-             "schedule_sigma2_nan", "joint_d2_zero", "joint_d2_negative"],
+        ids=["theory_beta_nan", "theory_sigma2_nan", "theory_sigma2_inf", "theory_joint_r_inf",
+             "theory_beta_negative", "theory_ramp_beta_negative", "sigma_w_beta_nan",
+             "beta_w_sigma2_nan", "beta_w_sigma2_inf", "schedule_sigma2_nan", "schedule_sigma2_inf",
+             "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative"],
     )
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
@@ -339,6 +346,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"cfglab: numerical failure in {argv[0]}: ")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "mixture", "--sigma2", "1e-17", "--beta", "0.5", "--w", "1"],
+            ["theory", "joint", "--r", "1", "--s", "1e-17", "--w", "1"],
+            ["sweep", "sigma-w", "--beta", "0.1", "--sigma2-min", "1e-17",
+             "--sigma2-points", "2", "--w-points", "2"],
+        ],
+        ids=["theory_mixture", "theory_joint", "sigma_w_sweep"],
+    )
+    def test_variance_ratio_below_float_resolution_is_zero(self, tmp_path, argv):
+        # (s - r)/(r + t) rounds to -1 at t = 0, where math.log1p raises
+        assert main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"]) == 0
+        assert "failed" not in _read(tmp_path / "x.csv")
 
     def test_infinite_horizon_fails_before_integrating(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",

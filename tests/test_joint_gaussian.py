@@ -9,10 +9,12 @@ from cfglab.errors import DomainError
 from cfglab.joint_gaussian import (
     JointGaussianModel,
     Lambda_coeff_linear,
+    Lambda_formula,
     exact_scores,
     guided_moments,
     guided_score_batch,
     lambda_coeff_linear,
+    lambda_formula,
     moments,
     propagate,
     random_model,
@@ -67,9 +69,23 @@ class TestConstantCoefficients:
             assert lam == pytest.approx(3.0, abs=10 * eps + 1e-14)
             assert big == pytest.approx(1.0, abs=10 * eps + 1e-14)
 
+    def test_pair_below_float_resolution_is_the_array_limit(self):
+        # (s - r)/(r + t) rounds to -1, where math.log1p raises and numpy's
+        # log1p gives -inf: the float call returns the array call's limit.
+        for s, r, w in ((1e-17, 1.0, 1.0), (1e-17, 1.0 + 1e-17, 0.5), (1e-300, 1e10, 2.0)):
+            for formula in (lambda_formula, Lambda_formula):
+                with np.errstate(divide="ignore"):
+                    array = formula(s, r, w, np.zeros(1))
+                assert formula(s, r, w, 0.0) == array[0]
+        assert lambda_formula(1e-17, 1.0, 1.0, 0.0) == 1.0
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             propagate(1.2, 1.0, 1.0, 0.0)  # s > r
+        with pytest.raises(DomainError):
+            propagate(0.5, np.inf, 1.0, 0.0)  # r = inf
+        with pytest.raises(DomainError):
+            lambda_coeff_linear(0.5, np.inf, Linear(0.0, 1.0), 0.0)
         with pytest.raises(DomainError):
             propagate(0.5, 1.0, 1.0, -0.1)  # t < 0
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cfglab import special_math
 from cfglab.errors import BracketError, ConvergenceError, DomainError
-from cfglab.special_math import BetaArgs, adaptive_quad, bisection_root, incomplete_beta_definite
+from cfglab.special_math import adaptive_quad, bisection_root, incomplete_beta_definite
 from quad_oracle import improper_quad
 
 
@@ -43,6 +43,22 @@ class TestAdaptiveQuad:
     def _family(x, k):
         """Integral k of a batch: x^(k/3 - 1/2) * cos(k x), singular at 0 for small k."""
         return x ** (k / 3.0 - 0.5) * np.cos(k * x)
+
+    def test_equal_errors_bisect_the_older_panel(self, monkeypatch):
+        # 1 on the 7 Gauss nodes and 0 on the 8 Kronrod-only ones: panels of
+        # equal width have bit-equal error estimates and the total never falls.
+        monkeypatch.setattr(special_math, "_MAX_PANELS", 5)
+        midpoints = []
+
+        def gauss_nodes_only(x, _):
+            midpoints.append(x[:, 6].tolist())
+            return np.broadcast_to(np.arange(15) < 7, x.shape).astype(float)
+
+        with pytest.raises(ConvergenceError):
+            adaptive_quad(gauss_nodes_only, 0.0, 1.0)
+        # [0, 1/2] ties [1/2, 1] and is bisected first; after the widest
+        # panel, the oldest of the four quarters is.
+        assert midpoints == [[0.5], [0.25, 0.75], [0.125, 0.375], [0.625, 0.875], [0.0625, 0.1875]]
 
     def test_batch_members_get_their_solo_bits(self):
         # Different integrals need different numbers of rounds; each member
@@ -89,55 +105,59 @@ class TestImproperQuad:
 
 class TestIncompleteBeta:
     def test_uniform_integrand(self):
-        assert incomplete_beta_definite(BetaArgs(1.0, 1.0, 0.0, 0.5)) == pytest.approx(
+        assert incomplete_beta_definite(1.0, 1.0, 0.0, 0.5) == pytest.approx(
             0.5, abs=1e-12
         )
 
     @pytest.mark.parametrize("f", [0.1, 0.37, 0.8, 1.0])
     def test_identity_integrand(self, f):
-        assert incomplete_beta_definite(BetaArgs(1.0, 1.0, 0.0, f)) == pytest.approx(
+        assert incomplete_beta_definite(1.0, 1.0, 0.0, f) == pytest.approx(
             f, abs=1e-10
         )
 
     def test_polynomial_antiderivative(self):
         # integrand r (1-r)^2; antiderivative r^2/2 - 2 r^3/3 + r^4/4
-        val = incomplete_beta_definite(BetaArgs(2.0, 3.0, 0.2, 0.8))
+        val = incomplete_beta_definite(2.0, 3.0, 0.2, 0.8)
         assert val == pytest.approx(0.066, abs=1e-10)
 
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (1, 4), (4, 2)])
     def test_complete_beta_vs_gamma_product(self, a, b):
         exact = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-        got = incomplete_beta_definite(BetaArgs(float(a), float(b), 0.0, 1.0))
+        got = incomplete_beta_definite(float(a), float(b), 0.0, 1.0)
         assert got == pytest.approx(exact, abs=1e-10)
 
     def test_singular_left_endpoint(self):
         # a = 0.5, b = 1: int_0^f r^-0.5 dr = 2 sqrt(f)
-        val = incomplete_beta_definite(BetaArgs(0.5, 1.0, 0.0, 0.49))
+        val = incomplete_beta_definite(0.5, 1.0, 0.0, 0.49)
         assert val == pytest.approx(2.0 * math.sqrt(0.49), abs=1e-10)
 
     def test_singular_right_endpoint(self):
         # a = 1, b = 0.25: int_f^1 (1-r)^-0.75 dr = 4 (1-f)^0.25
-        val = incomplete_beta_definite(BetaArgs(1.0, 0.25, 0.9, 1.0))
+        val = incomplete_beta_definite(1.0, 0.25, 0.9, 1.0)
         assert val == pytest.approx(4.0 * 0.1**0.25, abs=1e-9)
 
     def test_negative_first_exponent_with_interior_lower_limit(self):
         # a = -1, b = 1: int r^-2 dr = 1/f1 - 1/f2
-        val = incomplete_beta_definite(BetaArgs(-1.0, 1.0, 0.25, 0.75))
+        val = incomplete_beta_definite(-1.0, 1.0, 0.25, 0.75)
         assert val == pytest.approx(4.0 - 4.0 / 3.0, abs=1e-9)
 
     def test_tiny_b_with_upper_limit_one(self):
         # b -> 0: int_f^1 (1-r)^(b-1) dr = (1-f)^b / b for a = 1
         b = 1e-4
-        val = incomplete_beta_definite(BetaArgs(1.0, b, 0.3, 1.0))
+        val = incomplete_beta_definite(1.0, b, 0.3, 1.0)
         assert val == pytest.approx(0.7**b / b, rel=1e-8)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
-            BetaArgs(0.0, 1.0, 0.0, 0.5)  # a <= 0 needs f1 > 0
+            incomplete_beta_definite(0.0, 1.0, 0.0, 0.5)  # a <= 0 needs f1 > 0
         with pytest.raises(DomainError):
-            BetaArgs(1.0, -0.5, 0.5, 1.0)  # b <= 0 needs f2 < 1
+            incomplete_beta_definite(1.0, -0.5, 0.5, 1.0)  # b <= 0 needs f2 < 1
         with pytest.raises(DomainError):
-            BetaArgs(1.0, 1.0, 0.7, 0.3)  # f1 > f2
+            incomplete_beta_definite(1.0, 1.0, 0.7, 0.3)  # f1 > f2
+        with pytest.raises(DomainError, match="a must be finite"):
+            incomplete_beta_definite(np.nan, 1.0, 0.2, 0.5)
+        with pytest.raises(DomainError, match="need 0 <= f1 <= f2 <= 1"):  # the range holds f2 finite
+            incomplete_beta_definite(1.0, 1.0, 0.2, np.nan)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,14 +167,14 @@ class TestIncompleteBeta:
     )
     def test_additivity_over_adjacent_intervals(self, a, b, cuts):
         f1, f2, f3 = sorted(cuts)
-        left = incomplete_beta_definite(BetaArgs(a, b, f1, f2))
-        right = incomplete_beta_definite(BetaArgs(a, b, f2, f3))
-        whole = incomplete_beta_definite(BetaArgs(a, b, f1, f3))
+        left = incomplete_beta_definite(a, b, f1, f2)
+        right = incomplete_beta_definite(a, b, f2, f3)
+        whole = incomplete_beta_definite(a, b, f1, f3)
         assert left + right == pytest.approx(whole, abs=2 * special_math._ABS_TOL + 2e-12)
 
     def test_monotone_in_upper_limit(self):
         vals = [
-            incomplete_beta_definite(BetaArgs(0.7, 2.0, 0.1, f2))
+            incomplete_beta_definite(0.7, 2.0, 0.1, f2)
             for f2 in np.linspace(0.1, 1.0, 12)
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -216,12 +236,10 @@ class TestBisectionRoot:
         assert calls[0] == 257
         assert 1 <= len(calls[1:]) <= 8 and set(calls[1:]) == {"float"}
 
-    def test_bracket_within_tol_takes_one_two_point_call(self):
+    def test_bracket_within_tol_returns_a_point_within_tol(self):
         root = 0.7
-        calls = []
-        g = self._recording_switch_g(root, calls)
-        assert bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) == pytest.approx(root)
-        assert calls == [2]
+        g = self._recording_switch_g(root, [])
+        assert abs(bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) - root) <= 1e-13
 
     @pytest.mark.parametrize(
         "shape",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfglab import special_math, sweeps
-from cfglab.errors import ConvergenceError, DomainError
+from cfglab.errors import ConvergenceError, DomainError, NumericalError
 from cfglab.joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from cfglab.mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
 from cfglab.schedule import Constant, Linear
@@ -106,6 +106,11 @@ class TestClassifier:
         assert classify_region(-0.2, 0.1) == "mean_collapse"
         assert classify_region(0.2, -0.1) == "variance_shrink"
         assert classify_region(1e-9, -1e-9) == "no_distortion"
+
+    @pytest.mark.parametrize("deltas", [(np.nan, 0.1), (0.2, np.nan), (np.inf, -0.1)])
+    def test_non_finite_deltas_have_no_region(self, deltas):
+        with pytest.raises(NumericalError, match="non-finite"):
+            classify_region(*deltas)
 
 
 @pytest.fixture(scope="module")
@@ -228,10 +233,21 @@ class TestJointScheduleSweep:
         assert all(r.region_label == "failed" for r in flagged)
         assert all(r.region_label != "failed" for r in clean)
 
+    def test_overflowed_cells_fail(self):
+        # at r = 1e308 the prefactors overflow to nan at omega = 1/8, and the
+        # exponent p = omega (r - s) is inf at omega = 5
+        axes = (AxisSpec("w0", -1.0, 1.0, 2), AxisSpec("omega", 0.125, 5.0, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = sweep_joint_gaussian_schedule(1e308, 0.5, *axes)
+        assert [r.region_label for r in rows] == ["failed"] * 4
+        assert [r.error.split("=")[0] for r in rows] == ["non-finite delta_mu", "b must be finite"] * 2
+
     def test_input_validation(self):
         axes = (AxisSpec("w0", -1.0, 1.0, 2), AxisSpec("omega", 0.5, 1.0, 2))
         with pytest.raises(DomainError):
             sweep_joint_gaussian_schedule(0.6, 1.0, *axes)  # s > r
+        with pytest.raises(DomainError):
+            sweep_joint_gaussian_schedule(np.inf, 0.6, *axes)
 
 
 class TestRampSweepBatches:
