@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
 from .special_math import FloatOrArray, _flat, incomplete_beta_definite
@@ -149,7 +149,8 @@ def _per_ramp(s: float, r: float, sched: Linear, t: float,
               ramped: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> FloatOrArray:
     """A ramp coefficient at every (w0, omega) of sched: constant(w0) one cell
     at a time where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
-    on the other cells as one batch.  A float for a float schedule."""
+    on the other cells as one batch.  A float for a float schedule.
+    NumericalError names the first ramp whose coefficient overflows."""
     _check_pair(s, r)
     if not (t >= 0.0):
         raise DomainError(f"need t >= 0, got t={t}")
@@ -159,7 +160,12 @@ def _per_ramp(s: float, r: float, sched: Linear, t: float,
     for i in np.flatnonzero(level):
         out[i] = constant(float(w0[i]))
     if np.count_nonzero(level) < level.size:
-        out[~level] = ramped(w0[~level], omega[~level])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[~level] = ramped(w0[~level], omega[~level])
+    finite = np.isfinite(out)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmin(finite))
+        raise NumericalError(f"non-finite ramp coefficient at (w0, omega) = ({w0[i]}, {omega[i]})")
     return float(out[0]) if shape == () else out.reshape(shape)
 
 

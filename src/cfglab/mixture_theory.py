@@ -22,13 +22,13 @@ conditional phase; distortion at sampling time t=0 is summarised by
 By isotropy the d-dimensional moments reduce to a scalar pair
 (mean_coeff a(t), variance s^2(t)) with mean(t) = a(t) * c1.  Both phases
 are joint-Gaussian moments at (s, r) = (sigma^2, sigma^2 + 1): the guided
-phase is the horizon-free a(t) = lambda(t), s^2(t) = (sigma^2 + t) Lambda(t)
-of the schedule (``joint_gaussian.propagate`` for a constant w, the
-incomplete-Beta forms for a ramp w0 + omega t), and the conditional phase is
-the propagator at w = 0, seeded at t_s by the guided moments there.  One
-``assemble_trajectory`` serves every schedule.  The switch is computed for a
-constant schedule only; a ramp's trajectory has t_s = None, the guided-only
-regime of a class density large enough that the process never switches.
+phase is ``joint_gaussian.moments`` there, the horizon-free
+a(t) = lambda(t), s^2(t) = (sigma^2 + t) Lambda(t) of the schedule, and the
+conditional phase is the propagator at w = 0, seeded at t_s by the guided
+moments there.  One ``assemble_trajectory`` serves every schedule.  The
+switch is computed for a constant schedule only; a ramp's trajectory has
+t_s = None, the guided-only regime of a class density large enough that the
+process never switches.
 
 Conventions fixed by exactly solvable limits (see the test suite):
 * zeta_t is evaluated on the mean path, q1 = (a-1)^2, q2 = a^2 with
@@ -57,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear, lambda_formula, propagate
+from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear, lambda_formula, moments, propagate
 from .schedule import Constant, GuidanceSchedule, Linear
 from .special_math import FloatOrArray, bisection_root
 
@@ -69,7 +69,6 @@ __all__ = [
     "DistortionReport",
     "zeta",
     "zeta_typical",
-    "typical_overlaps",
     "speciation_time",
     "sample_path_report",
     "assemble_trajectory",
@@ -162,20 +161,15 @@ def zeta(
     )
 
 
-def typical_overlaps(t: FloatOrArray, sigma2: float, w: float) -> tuple[FloatOrArray, FloatOrArray]:
-    """(q1, q2) on the mean guided path: q1 = (a-1)^2, q2 = a^2, |c1|^2/d = 1."""
-    a = lambda_formula(sigma2, sigma2 + 1.0, w, t)
-    return (a - 1.0) ** 2, a * a
-
-
 def zeta_typical(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
-    """zeta at unit tilt along the typical guided trajectory.
+    """zeta at unit tilt along the typical guided trajectory: the mean path
+    q1 = (a-1)^2, q2 = a^2 with |c1|^2/d = 1 and a = lambda(t).
 
     Tends to -(1+w)/t at large t, so the switch time diverges like (1+w)/beta
     when the class density beta vanishes.
     """
-    q1, q2 = typical_overlaps(t, sigma2, w)
-    return zeta(t, 1.0, sigma2, q1, q2)
+    a = lambda_formula(sigma2, sigma2 + 1.0, w, t)
+    return zeta(t, 1.0, sigma2, (a - 1.0) ** 2, a * a)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +252,6 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def _guided_phase(
-    sigma2: float, sched: GuidanceSchedule, t: float
-) -> tuple[FloatOrArray, FloatOrArray]:
-    """Horizon-free guided (mean_coeff, variance) at (s, r) = (sigma2, sigma2 + 1):
-    ``propagate`` for a constant schedule, lambda and (s+t) Lambda of the
-    incomplete Beta forms for a ramp (arrays for a batch of ramps).  The ramp
-    forms are looked up in this module, where the per-layer tracer wraps them."""
-    s, r = sigma2, sigma2 + 1.0
-    if isinstance(sched, Constant):
-        return propagate(s, r, sched.w, t)
-    return lambda_coeff_linear(s, r, sched, t), (s + t) * Lambda_coeff_linear(s, r, sched, t)
-
-
 def _moments_at(
     t: float, t_s: Optional[float], sigma2: float, sched: GuidanceSchedule
 ) -> GuidedMoments:
@@ -279,10 +260,10 @@ def _moments_at(
     exact conditional marginal when t_s is math.inf, otherwise the guided
     propagator at w = 0 seeded by the guided moments at t_s."""
     if t_s is None or t >= t_s:
-        return GuidedMoments(t, *_guided_phase(sigma2, sched, t), GUIDED)
+        return GuidedMoments(t, *moments(sigma2, sigma2 + 1.0, sched, t), GUIDED)
     if math.isinf(t_s):
         return GuidedMoments(t, 1.0, sigma2 + t, CONDITIONAL)
-    start = (t_s, *_guided_phase(sigma2, sched, t_s))
+    start = (t_s, *moments(sigma2, sigma2 + 1.0, sched, t_s))
     return GuidedMoments(t, *propagate(sigma2, sigma2 + 1.0, 0.0, t, start), CONDITIONAL)
 
 
@@ -322,8 +303,9 @@ def delta_estimators_linear(
     ``sweep schedule``.  The schedule's w0 and omega may be arrays; the pair
     is then a pair of arrays, evaluated in one batch.
     """
-    mean_coeff, variance = _guided_phase(sigma2, sched, t)
-    return mean_coeff - 1.0, variance - (sigma2 + t)
+    # Not ``moments``: the per-layer tracer wraps the ramp coefficients as this module names them.
+    s, r, g = sigma2, sigma2 + 1.0, sigma2 + t
+    return lambda_coeff_linear(s, r, sched, t) - 1.0, g * Lambda_coeff_linear(s, r, sched, t) - g
 
 
 def sanity_schedule_speciation(sigma2: float, beta: float) -> Optional[float]:

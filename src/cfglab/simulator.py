@@ -108,8 +108,8 @@ class MixtureInstance:
         c = np.asarray(self.centroids, dtype=float)
         if c.ndim != 2 or c.shape[0] < 1:
             raise DomainError("centroids must be a non-empty (M, d) matrix")
-        if not (self.sigma2 > 0):
-            raise DomainError("sigma2 must be positive")
+        if not (0 < self.sigma2 < math.inf):
+            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
         object.__setattr__(self, "centroids", c)
 
     @property
@@ -289,13 +289,18 @@ def time_grid(config: SimConfig, grid_offset: float = 0.0) -> np.ndarray:
     Steps are placed geometrically in (grid_offset + t) so the step size
     shrinks where the dynamics stiffens near t = 0; pass the per-mode
     variance (or the smallest conditional eigenvalue) as the offset.
+    DomainError if an offset far above T leaves fewer than n_steps distinct
+    steps at float resolution.
     """
-    if grid_offset < 0:
-        raise DomainError("grid_offset must be >= 0")
+    if not (0 <= grid_offset < math.inf):
+        raise DomainError(f"grid_offset must be >= 0 and finite, got {grid_offset}")
     T, n = config.horizon_T, config.n_steps
     off = max(grid_offset, 1e-6 * T)
     ts = np.geomspace(off + T, off, n + 1) - off
     ts[0], ts[-1] = T, 0.0
+    if not np.all(np.diff(ts) < 0):
+        raise DomainError(
+            f"{n} steps from T={T} to 0 merge at float resolution at grid offset {grid_offset}")
     merged = np.unique(np.concatenate([ts, np.asarray(config.checkpoints, dtype=float)]))
     return merged[::-1].copy()
 

@@ -334,12 +334,22 @@ class TestExitCodes:
              "--omega-points", "2"],
             ["simulate", "joint", "--d2", "0", "--w", "1", "--n", "10"],
             ["simulate", "joint", "--d2", "-2", "--w", "1", "--n", "10"],
+            ["theory", "joint", "--r", "1e300", "--s", "0.5", "--w0", "0.5", "--omega", "1"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "inf", "--w", "1",
+             "--n", "10"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "1e15", "--w", "1",
+             "--n", "10"],
+            ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "1e300", "--w", "1",
+             "--n", "10"],
         ],
         ids=["theory_beta_nan", "theory_sigma2_nan", "theory_sigma2_inf", "theory_joint_r_inf",
              "theory_beta_negative", "theory_ramp_beta_negative", "sigma_w_beta_nan",
              "beta_w_sigma2_nan", "beta_w_sigma2_inf", "schedule_sigma2_nan", "schedule_sigma2_inf",
-             "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative"],
+             "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative",
+             "theory_joint_ramp_overflow", "simulate_sigma2_inf", "simulate_steps_merge",
+             "simulate_sigma2_huge"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
         assert rc == 2

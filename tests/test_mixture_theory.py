@@ -14,14 +14,15 @@ from cfglab.joint_gaussian import propagate
 from cfglab.mixture_theory import (
     CONDITIONAL,
     GUIDED,
+    _SCAN_GRID,
     MixtureTheoryParams,
     _relative_deltas,
+    _switch_root,
     assemble_trajectory,
     delta_estimators_linear,
     sample_path_report,
     sanity_schedule_speciation,
     speciation_time,
-    typical_overlaps,
     zeta,
     zeta_typical,
 )
@@ -73,15 +74,10 @@ class TestZetaTypical:
             assert 1e4 * zeta_typical(1e4, 0.5, w) == pytest.approx(-(1.0 + w), rel=0.01)
 
     def test_self_consistency_with_mean_path_overlaps(self):
-        for t in np.geomspace(1e-3, 1e3, 25):
-            q1, q2 = typical_overlaps(float(t), 0.5, 1.0)
-            direct = zeta(float(t), 1.0, 0.5, q1, q2)
-            assert zeta_typical(float(t), 0.5, 1.0) == pytest.approx(direct, abs=1e-8)
-
-    def test_mean_path_overlaps_come_from_guided_moments(self):
-        t, sigma2, w = 0.7, 0.5, 1.0
-        a, _ = propagate(sigma2, sigma2 + 1.0, w, t)
-        assert typical_overlaps(t, sigma2, w) == ((a - 1.0) ** 2, a * a)
+        # the mean path q1 = (a-1)^2, q2 = a^2 of the guided moments, bit for bit
+        for t in np.geomspace(1e-3, 1e3, 25).tolist():
+            a, _ = propagate(0.5, 1.5, 1.0, t)
+            assert zeta_typical(t, 0.5, 1.0) == zeta(t, 1.0, 0.5, (a - 1.0) ** 2, a * a)
 
     def test_monotone_on_the_bracketing_interval(self):
         # increasing toward 0- across the interval where beta + zeta changes
@@ -142,6 +138,11 @@ class TestSpeciationTime:
         ]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
+    def test_switch_exactly_on_the_scan_grid(self):
+        # exp(log(t)) rounds away from t at the first and last of these points
+        for k in (1, 200, 398):
+            assert _switch_root(lambda t: t - _SCAN_GRID[k]) == _SCAN_GRID[k]
+
     def test_requires_constant_schedule(self):
         with pytest.raises(DomainError):
             speciation_time(MixtureTheoryParams(0.5, 0.1, Linear(0.0, 1.0)))
@@ -162,8 +163,6 @@ class TestArrayClosedForms:
             ("variance", lambda t, w: propagate(0.5, 1.5, w, t)[1]),
             ("seeded_mean_coeff", lambda t, w: propagate(0.5, 1.5, w, t, (1e8, 0.0, 1e8))[0]),
             ("seeded_variance", lambda t, w: propagate(0.5, 1.5, w, t, (1e8, 0.0, 1e8))[1]),
-            ("q1", lambda t, w: typical_overlaps(t, 0.5, w)[0]),
-            ("q2", lambda t, w: typical_overlaps(t, 0.5, w)[1]),
             ("zeta_typical", lambda t, w: zeta_typical(t, 0.5, w)),
             ("zeta", lambda t, w: zeta(t, 0.7, 0.5, 1.3 + w, 2.1 + t)),
         ],

@@ -340,6 +340,19 @@ class TestTimeGrid:
             with pytest.raises(DomainError):
                 SimConfig(dim=2, n_samples=10, seed=0, **kwargs)
 
+    def test_steps_that_merge_at_float_resolution_are_rejected(self):
+        # at T = 500 and 2000 steps an offset of 1e15 leaves 123 distinct steps
+        cfg = SimConfig(dim=1, n_samples=2, seed=0)
+        assert len(time_grid(cfg, grid_offset=1e13)) == cfg.n_steps + 1
+        for offset in (1e15, 1e300, math.inf, math.nan, -1.0):
+            with pytest.raises(DomainError):
+                time_grid(cfg, grid_offset=offset)
+
+    def test_mixture_variance_must_be_positive_and_finite(self):
+        for sigma2 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                MixtureInstance(centroids=np.zeros((2, 3)), sigma2=sigma2)
+
 
 class TestIntegrateBackward:
     def test_pure_diffusion_increments(self):

@@ -74,6 +74,15 @@ class TestAdaptiveQuad:
         grid = adaptive_quad(self._family, lo.reshape(2, 4), hi.reshape(2, 4))
         assert grid.tolist() == batch.reshape(2, 4).tolist()
 
+    def test_panel_too_narrow_to_bisect_keeps_its_estimate(self):
+        # One ulp wide: the midpoint rounds to an end, and the Kronrod nodes
+        # that round below 1.0 see the 1e30 step, so the error never falls.
+        lo, hi = 1.0, np.nextafter(1.0, 2.0)
+        step = lambda x, _: np.where(x < 1.0, 1e30, 0.0)
+        estimate, _ = special_math._gk15(step, np.array([lo]), np.array([hi]), np.array([0]))
+        got = adaptive_quad(step, lo, hi)
+        assert math.isfinite(got) and got == estimate[0]
+
     def test_a_nan_integral_stops_at_once(self):
         # A nan error estimate ends that integral at once; the rest of the
         # batch converges as usual.
@@ -194,6 +203,9 @@ class TestBisectionRoot:
 
     def test_endpoint_root(self):
         assert bisection_root(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
+
+    def test_upper_endpoint_root(self):
+        assert bisection_root(lambda x: x - 2.0, 0.0, 2.0, 1e-12) == 2.0
 
     def test_returns_the_last_root(self):
         # Roots at 0.1, 0.6 and 0.7; g(0.5) > 0, so plain bisection would keep

@@ -49,19 +49,24 @@ _SWEEP_ARGV = {
 }
 
 
-def _traced_calls(tmp_path, kinds):
-    """Span counts by name of the sweeps ``kinds`` at 2x2 points under the tracer."""
+def _traced(tmp_path, commands):
+    """Span counts by name of the ``cfglab`` commands (argv lists) under the tracer."""
     from cfglab.cli import main
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for kind in kinds:
-            assert main(["--out-dir", str(tmp_path), "sweep", kind, *_SWEEP_ARGV[kind]]) == 0
+        for argv in commands:
+            assert main(["--out-dir", str(tmp_path), *argv]) == 0
     finally:
         tracer.uninstall()
     assert not tracer.missing
     return tracing.SpanStats(tracer.spans).calls
+
+
+def _traced_calls(tmp_path, kinds):
+    """Span counts by name of the sweeps ``kinds`` at 2x2 points under the tracer."""
+    return _traced(tmp_path, [["sweep", kind, *_SWEEP_ARGV[kind]] for kind in kinds])
 
 
 def test_wrapped_names_are_still_called(tmp_path):
@@ -89,4 +94,15 @@ def test_wrapped_names_are_still_called(tmp_path):
 )
 def test_every_wrapped_name_on_a_ramp_sweep_path_is_called(tmp_path, kind, path):
     calls = _traced_calls(tmp_path, [kind])
+    assert all(calls(name) >= 1 for name in path), {name: calls(name) for name in path}
+
+
+def test_every_wrapped_name_on_the_simulate_path_is_called(tmp_path):
+    tiny = ["--w", "1", "--n", "50", "--steps", "20"]
+    calls = _traced(tmp_path, [
+        ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", *tiny],
+        ["simulate", "joint", "--d2", "3", *tiny],
+    ])
+    path = ["simulator.centroids", "simulator.integrate", "simulator.bootstrap",
+            tracing.SCORE_SETUP, tracing.SCORE, "joint_gaussian.drift"]
     assert all(calls(name) >= 1 for name in path), {name: calls(name) for name in path}
