@@ -53,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
     # The leaf commands whose flags are judged after parsing, by manifest label.
     leaves: dict[str, argparse.ArgumentParser]
 
+    def __init__(self, **kwargs) -> None:  # a flag is never read as another's abbreviation
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # argparse default exits with 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -185,7 +188,7 @@ def build_parser() -> _Parser:
     # subcommand alone (SUPPRESS), so the later position wins.  The defaults
     # reach only the top parser, through a parent of their own: set_defaults on
     # a parser that holds the shared flags would write them into every leaf.
-    leaf = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    leaf = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     leaf.add_argument("--seed", type=int)
     leaf.add_argument("--workers", type=int)
     leaf.add_argument("--out-dir")

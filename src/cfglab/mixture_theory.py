@@ -83,6 +83,14 @@ CONDITIONAL = "conditional"
 _SCAN_GRID = np.geomspace(1e-6, 1e8, 400)
 
 
+def _check_sigma2(sigma2: float) -> None:
+    """DomainError unless 0 < sigma2 < 2**53: from 2**53 on, floats no longer
+    resolve the guided phase's r = sigma2 + 1.  It rounds to sigma2, where
+    the closed forms divide 0 by 0, or to sigma2 + 2."""
+    if not (0 < sigma2 < 2.0**53):
+        raise DomainError(f"sigma2 must be positive and below 2**53, got {sigma2}")
+
+
 @dataclass(frozen=True)
 class MixtureTheoryParams:
     """Mean-field control parameters of the mixture target."""
@@ -92,8 +100,7 @@ class MixtureTheoryParams:
     schedule: GuidanceSchedule
 
     def __post_init__(self) -> None:
-        if not (0 < self.sigma2 < math.inf):
-            raise DomainError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        _check_sigma2(self.sigma2)
         if not (self.beta >= 0):
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
@@ -182,11 +189,11 @@ def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
 
     Solves beta + zeta_typical(t) = 0 for its largest root: one array
     evaluation on a log grid on (1e-6, 1e8) brackets the last sign change,
-    and ``bisection_root`` refines it in log t (one multisection round on an
-    array, then Brent's method on floats).  Returns None when
-    beta + zeta stays positive on the whole grid (no transition), and
-    math.inf when it is negative even at the largest grid time (the process
-    is conditional before any finite time; zero distortion).
+    and ``bisection_root`` polishes that scan cell in log t (Brent's method
+    on floats).  Returns None when beta + zeta stays positive on the whole
+    grid (no transition), and math.inf when it is negative even at the
+    largest grid time (the process is conditional before any finite time;
+    zero distortion).
     """
     if not isinstance(params.schedule, Constant):
         raise DomainError("speciation_time is defined for constant schedules")
@@ -221,13 +228,14 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
     """Largest root in t of a switch condition f(t) = beta + zeta(t).
 
     f takes an array of times or one float time.  One call of f on the
-    400-point log grid on (1e-6, 1e8) finds the last grid point where f <= 0;
-    ``bisection_root`` then refines the bracket above it in log t to 1e-13:
-    one 257-point array call, then a few float calls of Brent's method, each
-    at t = math.exp(y) so the closed forms take their ``math`` branch.  None
-    when f stays positive on the whole grid, math.inf when f is nonpositive
-    even at the largest grid time (the sentinels of ``DistortionReport``); a
-    grid point where f is exactly zero is returned as it is.
+    400-point log grid on (1e-6, 1e8) finds the last grid point where f <= 0,
+    so this scan alone decides which root is the largest; ``bisection_root``
+    then polishes the scan cell above it in log t to 1e-13 with Brent's
+    method, a few float calls at t = math.exp(y), so the closed forms take
+    their ``math`` branch.  None when f stays positive on the whole grid,
+    math.inf when f is nonpositive even at the largest grid time (the
+    sentinels of ``DistortionReport``); a grid point where f is exactly zero
+    is returned as it is.
     """
     values = f(_SCAN_GRID)
     if values[-1] <= 0.0:
@@ -238,13 +246,8 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
     k = int(nonpositive[-1])
     if values[k] == 0.0:
         return float(_SCAN_GRID[k])
-    x = bisection_root(
-        lambda y: f(np.exp(y) if isinstance(y, np.ndarray) else math.exp(y)),
-        math.log(_SCAN_GRID[k]),
-        math.log(_SCAN_GRID[k + 1]),
-        1e-13,
-    )
-    return math.exp(x)
+    lo, hi = math.log(_SCAN_GRID[k]), math.log(_SCAN_GRID[k + 1])
+    return math.exp(bisection_root(lambda y: f(math.exp(y)), lo, hi, 1e-13))
 
 
 # ---------------------------------------------------------------------------

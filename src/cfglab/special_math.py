@@ -10,10 +10,9 @@ Self-contained implementations (no external special-function dependency) of
   on floats or broadcast arrays, checked once and integrated in one
   quadrature batch, including exponents a <= 0 (only with f1 > 0) and
   endpoint regularisation by change of variable when 0 < a < 1 or 0 < b < 1,
-* bracketed root finding for the largest root: one multisection round
-  evaluates the function once on an array of equispaced points and keeps the
-  last sub-bracket where the sign changes, then Brent's method refines that
-  sub-bracket on Python floats.
+* Brent's method on a sign-changing bracket, one Python float call per
+  step: the polish of the one scan cell in which the phase-switch scan
+  (``mixture_theory``) brackets the largest root.
 
 A float argument is a batch of one: there is one quadrature path.  An
 integral gets the same bits alone as in any batch, because every array
@@ -226,63 +225,35 @@ def incomplete_beta_definite(a: FloatOrArray, b: FloatOrArray, f1: FloatOrArray,
     return float(result[0]) if shape == () else result.reshape(shape)
 
 
-# Sub-brackets of the one multisection round.  The round costs one array call
-# of g and keeps the last sign change it resolves; Brent's method then needs
-# only a few float calls: a bracket of width 0.08 reaches 1e-13 in about three.
-_SECTIONS = 256
-_SECTION_FRACTIONS = np.linspace(0.0, 1.0, _SECTIONS + 1)
 _EPS = np.finfo(float).eps
 
 
-def bisection_root(
-    g: Callable[[FloatOrArray], FloatOrArray], lo: float, hi: float, tol: float
-) -> float:
-    """Largest root of g on a sign-changing bracket; stops when the bracket is <= tol.
+def bisection_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """A root of g on the sign-changing bracket [lo, hi], to within tol.
 
-    g takes a 1-d array of points or one Python float and returns its values
-    there.  One call on ``_SECTIONS + 1`` equispaced points of [lo, hi] checks
-    the bracket with its end values and keeps the last sub-bracket where the
-    sign changes, so among the roots that grid resolves the largest one is
-    kept.  Brent's method (inverse quadratic and secant steps, with a
-    bisection fallback that bounds the worst case) then refines that
-    sub-bracket, one float call of g per step, until it is within tol or at
-    float resolution.  A point where g is exactly zero is returned as it is.
+    g takes one Python float and returns its value there.  Brent's method
+    (Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4):
+    b is the best point so far and c the other end of the bracket.  Inverse
+    quadratic and secant steps converge superlinearly near a simple root; a
+    step that would not shrink the bracket fast enough bisects instead, which
+    bounds the calls by about k^2 for the k steps plain bisection would take.
+    Returns b once |c - b| <= tol + 4 eps |b| (the slack is float
+    resolution); a point where g is exactly zero is returned as it is.  With
+    several roots in the bracket, which one is found is unspecified: the
+    caller's scan chooses the bracket.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    xs = lo + (hi - lo) * _SECTION_FRACTIONS
-    xs[-1] = hi
-    values = g(xs)
-    g_lo, g_hi = values[0], values[-1]
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0) == (g_hi > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
-    sign_hi = 1.0 if g_hi > 0 else -1.0
-    signs = np.sign(values)
-    signs[0], signs[-1] = -sign_hi, sign_hi  # the bracket's end signs are known
-    # Every point right of k has g(hi)'s sign: the last root lies in [x_k, x_k+1).
-    k = int(np.flatnonzero(signs != sign_hi)[-1])
-    if signs[k] == 0.0:
-        return float(xs[k])
-    return _brent(g, float(xs[k]), float(xs[k + 1]), float(values[k]), float(values[k + 1]), tol)
-
-
-def _brent(g: Callable[[float], float], a: float, b: float, fa: float, fb: float,
-           tol: float) -> float:
-    """Brent's zero of g on [a, b], where fa = g(a) and fb = g(b) differ in sign.
-
-    Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4:
-    b is the best point so far and c the other end of the bracket.  A step
-    that would not shrink the bracket fast enough bisects instead, which
-    bounds the calls by about k^2 for the k steps plain bisection would take;
-    near a simple root the steps converge superlinearly.  Returns b once
-    |c - b| <= tol + 4 eps |b| (the slack is float resolution) or g(b) == 0.
-    """
+    a, b = lo, hi
+    fa, fb = float(g(a)), float(g(b))
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0) == (fb > 0):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: g={fa:.3e}, {fb:.3e}")
     c, fc = a, fa
     d = e = b - a
     while True:

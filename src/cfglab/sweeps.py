@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CfgLabError, DomainError, NumericalError
 from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
-from .mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
+from .mixture_theory import MixtureTheoryParams, _check_sigma2, assemble_trajectory, delta_estimators_linear
 from .schedule import Constant, Linear
 
 __all__ = [
@@ -152,8 +152,7 @@ def _ramp_rows(
 
 def sweep_beta_w(sigma2: float, axis1: AxisSpec, axis2: AxisSpec) -> list[SweepRow]:
     """Switch time and t=0 distortion over (beta, w) at fixed sigma2."""
-    if not (0 < sigma2 < math.inf):
-        raise DomainError("sigma2 must be positive and finite")
+    _check_sigma2(sigma2)
     return _run_grid(
         axis1, axis2, lambda beta, w: [_constant_guidance_row(beta[0], w[0], sigma2, beta[0])])
 
@@ -176,8 +175,7 @@ def sweep_schedule_phase_diagram(
     reported.  delta_sigma2 is the absolute variance deviation (see
     ``delta_estimators_linear``).
     """
-    if not (0 < sigma2 < math.inf):
-        raise DomainError("sigma2 must be positive and finite")
+    _check_sigma2(sigma2)
 
     def rows(w0: list[float], omega: list[float]) -> list[SweepRow]:
         sched = Linear(np.array(w0), np.array(omega))

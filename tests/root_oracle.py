@@ -1,9 +1,9 @@
 """Test-side oracle: the scalar phase-switch root finder.
 
 ``mixture_theory`` finds the phase switch with one evaluation of the switch
-condition on the 400-point log grid, then, in log t, one 257-point
-multisection round on an array and a Brent polish on floats.  This module
-keeps the scalar path that the array path replaced -- the guided-phase
+condition on the 400-point log grid, then a Brent polish on floats, in
+log t, of the scan cell above the last nonpositive grid point.  This module
+keeps the scalar path that the array scan replaced -- the guided-phase
 closed forms and zeta written with ``math``, a point-by-point descending
 sign scan and plain bisection -- so the tests can check the library's path
 against an independent one, for the mean-path switch (``speciation_time``)

@@ -309,6 +309,18 @@ class TestExitCodes:
                 main(["--out-dir", str(tmp_path), *argv, "--criteria", "5"])
             assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--out", "o.csv"], ["--see", "3"]], ids=["leaf_flag", "prefix_of_seed"])
+    def test_flag_before_the_subcommand_is_not_an_abbreviation(self, tmp_path, monkeypatch,
+                                                                flags):
+        # --out is a prefix of --out-dir, --see of --seed; both are unknown here
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", "d", *flags, "theory", "joint", "--r", "1", "--s", "0.6",
+                  "--w", "1"])
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_is_two(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "40",
                    "--beta", "0.5", "--sigma2", "0.5", "--w", "1", "--n", "100",
@@ -341,13 +353,18 @@ class TestExitCodes:
              "--n", "10"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "1e300", "--w", "1",
              "--n", "10"],
+            # sigma2 + 1 rounds to sigma2: every scan value would be 0/0
+            ["theory", "mixture", "--sigma2", "1e16", "--beta", "0.5", "--w", "1"],
+            ["sweep", "beta-w", "--sigma2", "1e300", "--beta-points", "2", "--w-points", "2"],
+            ["sweep", "schedule", "--sigma2", "1e300", "--w0-points", "2", "--omega-points", "2"],
         ],
         ids=["theory_beta_nan", "theory_sigma2_nan", "theory_sigma2_inf", "theory_joint_r_inf",
              "theory_beta_negative", "theory_ramp_beta_negative", "sigma_w_beta_nan",
              "beta_w_sigma2_nan", "beta_w_sigma2_inf", "schedule_sigma2_nan", "schedule_sigma2_inf",
              "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative",
              "theory_joint_ramp_overflow", "simulate_sigma2_inf", "simulate_steps_merge",
-             "simulate_sigma2_huge"],
+             "simulate_sigma2_huge", "theory_sigma2_unresolved", "beta_w_sigma2_unresolved",
+             "schedule_sigma2_unresolved"],
     )
     @pytest.mark.filterwarnings("error")
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
@@ -355,6 +372,30 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"cfglab: numerical failure in {argv[0]}: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "beta-w", "--sigma2", "0.5", "--beta-points", "1"],
+             "each axis needs at least 2 points"),
+            (["sweep", "beta-w", "--sigma2", "0.5", "--w-min", "1", "--w-max", "0"],
+             "axis w: need lo < hi"),
+            (["sweep", "beta-w", "--sigma2", "0.5", "--beta-scale", "log", "--beta-min", "0"],
+             "axis beta: log scale requires lo > 0"),
+            (["theory", "mixture", "--sigma2", "0.5", "--beta", "0.5", "--w", "1", "--t", "-1"],
+             "t_grid times must be >= 0"),
+            (["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "1",
+              "--n", "1"], "n_samples must be >= 2"),
+        ],
+        ids=["axis_one_point", "axis_reversed", "log_axis_from_zero", "negative_time",
+             "one_sample"],
+    )
+    def test_input_check_is_two(self, tmp_path, capsys, argv, message):
+        rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"cfglab: numerical failure in {argv[0]}: {message}"]
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(

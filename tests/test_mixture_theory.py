@@ -143,6 +143,11 @@ class TestSpeciationTime:
         for k in (1, 200, 398):
             assert _switch_root(lambda t: t - _SCAN_GRID[k]) == _SCAN_GRID[k]
 
+    def test_scan_keeps_the_largest_of_roots_in_different_cells(self):
+        # f > 0 below 1 and above 10: the scan's last nonpositive point lies
+        # just below 10, so the polish sees only the root at 10.
+        assert _switch_root(lambda t: (t - 1.0) * (t - 10.0)) == pytest.approx(10.0, rel=1e-12)
+
     def test_requires_constant_schedule(self):
         with pytest.raises(DomainError):
             speciation_time(MixtureTheoryParams(0.5, 0.1, Linear(0.0, 1.0)))
@@ -272,6 +277,14 @@ def test_sample_path_switches_below_mean_path(w):
 def test_sample_path_report_rejects_bad_parameters(sigma2, beta, w):
     with pytest.raises(DomainError):
         sample_path_report(sigma2, beta, w)
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 2.0**53, 2.0**53 + 2.0, 1e300, math.inf])
+def test_sigma2_must_be_positive_and_below_2_53(sigma2):
+    # at 2**53 + 2, sigma2 + 1 rounds up to sigma2 + 2 rather than to sigma2
+    with pytest.raises(DomainError, match="sigma2 must be positive and below 2"):
+        MixtureTheoryParams(sigma2, 0.5, Constant(1.0))
+    MixtureTheoryParams(2.0**53 - 1.0, 0.5, Constant(1.0))
 
 
 class TestGuidedPhaseMoments:

@@ -100,6 +100,12 @@ _PINNED_JOINT_SCHEDULE_6X6 = [  # sweep_joint_gaussian_schedule(1.0, 0.6, ...)
 ]
 
 
+def test_axis_scale_must_be_linear_or_log():
+    # the CLI's --*-scale choices never reach this check
+    with pytest.raises(DomainError, match="axis w: scale must be linear or log"):
+        AxisSpec("w", 0.0, 1.0, 2, "cubic")
+
+
 class TestClassifier:
     def test_taxonomy(self):
         assert classify_region(0.2, 0.1) == "separability_and_diversity"
@@ -174,6 +180,13 @@ class TestSigmaWSweep:
         for ts in by_sigma.values():
             present = [t for t in ts if t is not None]
             assert all(b > a for a, b in zip(present, present[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_cells_where_sigma2_plus_one_is_unresolved_fail(self):
+        axes = (AxisSpec("sigma2", 0.1, 1e300, 6, "log"), AxisSpec("w", 0.0, 1.0, 2))
+        rows = sweep_sigma_w(0.1, *axes)
+        assert [r.region_label == "failed" for r in rows] == [r.axis1_value >= 2.0**53 for r in rows]
+        assert rows[-1].error == "sigma2 must be positive and below 2**53, got 1e+300"
 
 
 class TestScheduleSweep:
