@@ -7,27 +7,3 @@ guidance schedules with negative-guidance windows.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BracketError,
-    BudgetError,
-    CfgLabError,
-    ConvergenceError,
-    DomainError,
-    NumericalError,
-)
-from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
-
-__all__ = [
-    "__version__",
-    "BracketError",
-    "BudgetError",
-    "CfgLabError",
-    "ConvergenceError",
-    "DomainError",
-    "NumericalError",
-    "Constant",
-    "Linear",
-    "GuidanceSchedule",
-    "guidance_level",
-]

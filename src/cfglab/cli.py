@@ -13,8 +13,8 @@ output (a sweep's also counts its cells and failed cells), and re-running
 with the same parameters reproduces the CSV outputs byte for byte (the
 manifest's duration field aside).
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 validation
-failure.
+Exit codes: 0 success, 1 usage error or unwritable output, 2 numerical
+failure, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -111,8 +111,13 @@ splot '{csv}' every ::1 using 1:2:{zcol} with points pt 5 ps 2 palette
 """
 
 
+def _stem(path: str) -> str:
+    """The output path without its .csv suffix, which names its sibling files."""
+    return path[:-4] if path.endswith(".csv") else path
+
+
 def _write_plot_script(csv_path: str, xlabel: str, ylabel: str, title: str, zcol: int) -> str:
-    script = csv_path[:-4] + ".gp" if csv_path.endswith(".csv") else csv_path + ".gp"
+    script = _stem(csv_path) + ".gp"
     png = os.path.basename(script)[:-3] + ".png"
     with open(script, "w", newline="\n") as fh:
         fh.write(
@@ -326,7 +331,7 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
         rows.append([t, emp.delta_mu_hat, emp.delta_mu_se, emp.delta_sigma2_hat,
                      emp.delta_sigma2_se, emp.n_samples])
         if ns.dump_samples:
-            dump = out[:-4] + f"_samples_t{_fmt(float(t))}.csv"
+            dump = _stem(out) + f"_samples_t{_fmt(float(t))}.csv"
             _write_csv(dump, [f"x_{j + 1}" for j in range(ns.d)], samples[t].tolist())
             outputs.append(dump)
     _write_csv(out, ["t", "delta_mu_hat", "delta_mu_se", "delta_sigma2_hat",
@@ -420,6 +425,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CfgLabError as exc:
         print(f"cfglab: numerical failure in {ns.command}: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
+    except OSError as exc:
+        print(f"cfglab: cannot write output: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
 
 
 if __name__ == "__main__":

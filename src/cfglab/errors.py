@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by all cfglab modules."""
+"""The package's two error kinds, under one base: an input outside the domain
+where the closed forms and the simulator hold (DomainError), and a
+computation that does not reach a finite, converged value (NumericalError)."""
 
 
 class CfgLabError(Exception):
@@ -6,20 +8,10 @@ class CfgLabError(Exception):
 
 
 class DomainError(CfgLabError, ValueError):
-    """Inputs violate a documented precondition (domain/shape/sign)."""
-
-
-class ConvergenceError(CfgLabError, RuntimeError):
-    """An iterative numerical method exhausted its budget before converging."""
-
-
-class BracketError(CfgLabError, ValueError):
-    """A root finder was called on an interval without a sign change."""
-
-
-class BudgetError(CfgLabError, ValueError):
-    """A request exceeds the configured memory/size budget."""
+    """Inputs violate a documented precondition (domain/shape/sign); a size
+    budget or a root bracket with no sign change is one too."""
 
 
 class NumericalError(CfgLabError, FloatingPointError):
-    """A computation produced non-finite values (reports where it happened)."""
+    """A computation produced non-finite values or did not converge (reports
+    where it happened)."""

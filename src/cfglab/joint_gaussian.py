@@ -306,6 +306,8 @@ def random_model(dim: int, seed: int) -> JointGaussianModel:
     and a standard-normal conditional mean."""
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     q, rr = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(rr))  # fix the sign convention so output is unique

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .schedule import GuidanceSchedule, guidance_level
 
 __all__ = [
@@ -162,7 +162,7 @@ def mode_count(beta: float, d: int) -> int:
     if not beta >= 0 or d < 1:
         raise DomainError(f"need beta >= 0 and d >= 1, got beta={beta}, d={d}")
     if beta * d > math.log(_MODE_COUNT_CAP + 0.5):  # judged before exp, which overflows
-        raise BudgetError(
+        raise DomainError(
             f"beta*d = {beta * d:.3f} gives M = exp(beta*d) > {_MODE_COUNT_CAP}; "
             "reduce d (the exponential mode count is only materialised at "
             "desk scale)"
@@ -183,7 +183,7 @@ def sample_centroids(
     if M < 1 or d < 1:
         raise DomainError("need M >= 1 and d >= 1")
     if M * d > _CENTROID_BUDGET:
-        raise BudgetError(f"centroid matrix would hold {M * d} entries (> {_CENTROID_BUDGET})")
+        raise DomainError(f"centroid matrix would hold {M * d} entries (> {_CENTROID_BUDGET})")
     c = _philox(seed, _TAG_CENTROIDS).standard_normal((M, d))
     if normalize_target:
         c[0] *= math.sqrt(d) / np.linalg.norm(c[0])

@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "adaptive_quad",
@@ -46,7 +46,7 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Error control of ``adaptive_quad``: an integral stops once its summed error
 # estimate is below max(_ABS_TOL, _REL_TOL * |integral|) and raises
-# ConvergenceError rather than split more than _MAX_PANELS panels.
+# NumericalError rather than split more than _MAX_PANELS panels.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_PANELS = 2000
@@ -112,7 +112,7 @@ def adaptive_quad(integrand: Integrand, lo: FloatOrArray, hi: FloatOrArray) -> F
     error estimate (the older panel on a tie), and the integrand is called
     once on the nodes of all the new panels.  An integral stops once its
     summed error is at most max(_ABS_TOL, _REL_TOL * |integral|); one that
-    would split more than _MAX_PANELS panels raises ConvergenceError.  A
+    would split more than _MAX_PANELS panels raises NumericalError.  A
     panel too narrow to bisect at float resolution keeps its estimate and
     leaves the error budget.
     """
@@ -143,7 +143,7 @@ def adaptive_quad(integrand: Integrand, lo: FloatOrArray, hi: FloatOrArray) -> F
         # An integral adds at most one panel per round.
         if used // 2 + 1 >= _MAX_PANELS and (n_panels >= _MAX_PANELS).any():
             i = int(np.argmax(n_panels >= _MAX_PANELS))
-            raise ConvergenceError(
+            raise NumericalError(
                 f"quadrature needs more than {_MAX_PANELS} panels "
                 f"(error estimate {total_err[i]:.3e} on [{lo[live[i]]}, {hi[live[i]]}])"
             )
@@ -253,7 +253,7 @@ def bisection_root(g: Callable[[float], float], lo: float, hi: float, tol: float
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={fa:.3e}, {fb:.3e}")
+        raise DomainError(f"no sign change on [{lo}, {hi}]: g={fa:.3e}, {fb:.3e}")
     c, fc = a, fa
     d = e = b - a
     while True:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from cfglab import special_math
-from cfglab.errors import ConvergenceError, DomainError
+from cfglab.errors import DomainError, NumericalError
 from cfglab.special_math import adaptive_quad
 
 
@@ -52,7 +52,7 @@ def improper_quad(
             break
         t_max *= 2.0
     else:
-        raise ConvergenceError("tail bound never fell below abs_tol")
+        raise NumericalError("tail bound never fell below abs_tol")
     if lo >= t_max:
         return 0.0
     # Log substitution needs a positive start; integrate [lo, start] directly.

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from cfglab.errors import BracketError, DomainError
+from cfglab.errors import DomainError
 
 
 def mean_coeff(t: float, sigma2: float, w: float) -> float:
@@ -61,7 +61,7 @@ def bisection_root(g: Callable[[float], float], lo: float, hi: float, tol: float
     if g_hi == 0.0:
         return hi
     if (g_lo > 0) == (g_hi > 0):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
+        raise DomainError(f"no sign change on [{lo}, {hi}]: g={g_lo:.3e}, {g_hi:.3e}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

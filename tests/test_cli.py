@@ -172,6 +172,22 @@ class TestSimulateCommand:
         assert dump_header == "x_1,x_2,x_3"
         assert len(dump_rows) == 50
 
+    @pytest.mark.parametrize("out,stem", [(None, "simulate_mixture"), ("run", "run")],
+                             ids=["default", "no_suffix"])
+    def test_dumps_land_beside_the_output(self, tmp_path, monkeypatch, out, stem):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--out-dir", "o", "simulate", "mixture", "--d", "3", "--beta", "0.3",
+                "--sigma2", "0.5", "--w", "1", "--n", "50", "--steps", "10",
+                "--checkpoints", "0,1", "--dump-samples"]
+        assert main(argv + (["--out", out] if out else [])) == 0
+        primary = out or "simulate_mixture.csv"
+        dumps = {f"{stem}_samples_t0.csv", f"{stem}_samples_t1.csv"}
+        assert {p.name for p in tmp_path.iterdir()} == {"o"}
+        assert {p.name for p in (tmp_path / "o").iterdir()} == {
+            primary, primary + ".manifest.json", *dumps}
+        manifest = json.loads(_read(tmp_path / "o" / (primary + ".manifest.json")))
+        assert set(manifest["outputs"]) == {primary, *dumps}
+
     def test_checkpoint_variance_is_relative_to_the_marginal(self, tmp_path):
         # At w = 0 the samples at time t follow the conditional marginal, of
         # variance sigma2 + t, so delta_sigma2_hat is near 0 at every
@@ -346,6 +362,7 @@ class TestExitCodes:
              "--omega-points", "2"],
             ["simulate", "joint", "--d2", "0", "--w", "1", "--n", "10"],
             ["simulate", "joint", "--d2", "-2", "--w", "1", "--n", "10"],
+            ["simulate", "joint", "--d2", "3", "--w", "1", "--n", "10", "--model-seed", "-1"],
             ["theory", "joint", "--r", "1e300", "--s", "0.5", "--w0", "0.5", "--omega", "1"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "inf", "--w", "1",
              "--n", "10"],
@@ -362,6 +379,7 @@ class TestExitCodes:
              "theory_beta_negative", "theory_ramp_beta_negative", "sigma_w_beta_nan",
              "beta_w_sigma2_nan", "beta_w_sigma2_inf", "schedule_sigma2_nan", "schedule_sigma2_inf",
              "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative",
+             "joint_model_seed_negative",
              "theory_joint_ramp_overflow", "simulate_sigma2_inf", "simulate_steps_merge",
              "simulate_sigma2_huge", "theory_sigma2_unresolved", "beta_w_sigma2_unresolved",
              "schedule_sigma2_unresolved"],
@@ -412,6 +430,18 @@ class TestExitCodes:
         # (s - r)/(r + t) rounds to -1 at t = 0, where math.log1p raises
         assert main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"]) == 0
         assert "failed" not in _read(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("out_dir,out", [("taken", "x.csv"), (".", "sub/x.csv")],
+                             ids=["out_dir_is_a_file", "missing_subdirectory"])
+    def test_unwritable_output_is_one(self, tmp_path, monkeypatch, capsys, out_dir, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        rc = main(["--out-dir", out_dir, "theory", "joint", "--r", "1", "--s", "0.5", "--w", "1",
+                   "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("cfglab: cannot write output: ")
+        assert "Traceback" not in err
 
     def test_infinite_horizon_fails_before_integrating(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",

@@ -326,6 +326,10 @@ class TestGuidedMoments:
         with pytest.raises(DomainError):
             random_model(dim, seed=0)
 
+    def test_random_model_rejects_a_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            random_model(3, seed=-1)
+
     def test_s_within_the_slack_above_r_is_the_s_equals_r_limit(self):
         # The constructor accepts s_i <= r_i + 1e-15 and propagate needs s <= r:
         # s = 1 + 2.2e-16 must give the s = r limit (1 + w, s + t), not raise.

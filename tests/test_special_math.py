@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfglab import special_math
-from cfglab.errors import BracketError, ConvergenceError, DomainError
+from cfglab.errors import DomainError, NumericalError
 from cfglab.special_math import adaptive_quad, bisection_root, incomplete_beta_definite
 from quad_oracle import improper_quad
 
@@ -33,10 +33,10 @@ class TestAdaptiveQuad:
     def test_subdivision_exhaustion(self, monkeypatch):
         nasty = lambda x, _: np.sin(1.0 / (x + 1e-14)) / np.sqrt(x + 1e-14)
         monkeypatch.setattr(special_math, "_MAX_PANELS", 4)
-        with pytest.raises(ConvergenceError, match="more than 4 panels"):
+        with pytest.raises(NumericalError, match="more than 4 panels"):
             adaptive_quad(nasty, 0.0, 1.0)
         # in a batch, the nasty member still raises once it reaches the cap
-        with pytest.raises(ConvergenceError, match=r"on \[0.0, 1.0\]"):
+        with pytest.raises(NumericalError, match=r"on \[0.0, 1.0\]"):
             adaptive_quad(lambda x, k: np.where(k == 1, nasty(x, k), x), [0.0, 0.0], [1.0, 1.0])
 
     @staticmethod
@@ -54,7 +54,7 @@ class TestAdaptiveQuad:
             midpoints.append(x[:, 6].tolist())
             return np.broadcast_to(np.arange(15) < 7, x.shape).astype(float)
 
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(NumericalError, match="more than 5 panels"):
             adaptive_quad(gauss_nodes_only, 0.0, 1.0)
         # [0, 1/2] ties [1/2, 1] and is bisected first; after the widest
         # panel, the oldest of the four quarters is.
@@ -198,7 +198,7 @@ class TestBisectionRoot:
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(DomainError, match="no sign change"):
             bisection_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
 
     def test_endpoint_root(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfglab import special_math, sweeps
-from cfglab.errors import ConvergenceError, DomainError, NumericalError
+from cfglab.errors import DomainError, NumericalError
 from cfglab.joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from cfglab.mixture_theory import MixtureTheoryParams, assemble_trajectory, delta_estimators_linear
 from cfglab.schedule import Constant, Linear
@@ -313,7 +313,7 @@ class TestRampSweepBatches:
             assert (row.axis1_value, row.axis2_value) == (before.axis1_value, before.axis2_value)
             assert row.delta_mu is None and row.delta_sigma2 is None
             sched = Linear(row.axis1_value, row.axis2_value)
-            with pytest.raises(ConvergenceError) as info:
+            with pytest.raises(NumericalError, match="more than 12 panels") as info:
                 lambda_coeff_linear(0.6, 1.0, sched, 0.0)
                 Lambda_coeff_linear(0.6, 1.0, sched, 0.0)
             assert row.error == str(info.value)
