@@ -7,19 +7,22 @@ Global flags: --seed, --workers, --out-dir, --emit-plot, accepted before
 or after the subcommand (the later one wins).
 --workers sets the number of threads over which ``simulate`` spreads its
 sample blocks, the only parallel axis (BLAS runs on one thread inside it);
-the other commands ignore it and leave it out of their manifests.
+--emit-plot writes a gnuplot script next to a ``sweep`` CSV.  Each flag is
+recorded only in the manifests of the command that reads it.
 The resolved parameter set is recorded in a manifest written next to every
 output (a sweep's also counts its cells and failed cells), and re-running
 with the same parameters reproduces the CSV outputs byte for byte (the
 manifest's duration field aside).
 
-Exit codes: 0 success, 1 usage error or unwritable output, 2 numerical
+Exit codes: 0 success, 1 usage error or unwritable output (a missing --out
+directory is found before the command runs), 2 invalid input or numerical
 failure, 3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -30,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import CfgLabError, DomainError
+from .errors import DomainError, NumericalError
 from .joint_gaussian import guided_moments, guided_score_batch, moments, random_model
 from .mixture_theory import MixtureTheoryParams, _relative_deltas, assemble_trajectory
 from .schedule import Constant, GuidanceSchedule, Linear
@@ -45,7 +48,7 @@ from .simulator import (
 from .sweeps import AxisSpec, sweep_beta_w, sweep_schedule_phase_diagram, sweep_joint_gaussian_schedule, sweep_sigma_w
 
 _USAGE_EXIT = 1
-_NUMERICAL_EXIT = 2
+_FAILURE_EXIT = 2
 _VALIDATION_EXIT = 3
 
 
@@ -280,6 +283,8 @@ def _resolved_params(ns: argparse.Namespace) -> dict:
     skip = {"command", "target"}
     if ns.command != "simulate":
         skip.add("workers")  # only simulate reads it
+    if ns.command != "sweep":
+        skip.add("emit_plot")  # only sweep reads it
     return {k: v for k, v in sorted(vars(ns).items()) if k not in skip}
 
 
@@ -404,6 +409,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.leaves[f"{ns.command} {ns.target}"].error(str(exc))
     try:
         os.makedirs(ns.out_dir, exist_ok=True)
+        out = os.path.join(ns.out_dir, getattr(ns, "out", ""))
+        if not os.path.isdir(os.path.dirname(out) or "."):  # found before the work, not after
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         started = time.perf_counter()
         if ns.command == "validate":
             return _cmd_validate(ns)
@@ -422,9 +430,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for o in outputs:
             print(o)
         return 0
-    except CfgLabError as exc:
+    except DomainError as exc:
+        print(f"cfglab: invalid input to {ns.command}: {exc}", file=sys.stderr)
+        return _FAILURE_EXIT
+    except NumericalError as exc:
         print(f"cfglab: numerical failure in {ns.command}: {exc}", file=sys.stderr)
-        return _NUMERICAL_EXIT
+        return _FAILURE_EXIT
     except OSError as exc:
         print(f"cfglab: cannot write output: {exc}", file=sys.stderr)
         return _USAGE_EXIT

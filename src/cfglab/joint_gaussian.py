@@ -34,20 +34,6 @@ from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
 from .special_math import FloatOrArray, _flat, incomplete_beta_definite
 
-__all__ = [
-    "JointGaussianModel",
-    "lambda_formula",
-    "Lambda_formula",
-    "propagate",
-    "lambda_coeff_linear",
-    "Lambda_coeff_linear",
-    "moments",
-    "guided_moments",
-    "exact_scores",
-    "guided_score_batch",
-    "random_model",
-]
-
 _ORTHO_TOL = 1e-10
 
 

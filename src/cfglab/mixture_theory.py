@@ -61,21 +61,6 @@ from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear, lambda_for
 from .schedule import Constant, GuidanceSchedule, Linear
 from .special_math import FloatOrArray, bisection_root
 
-__all__ = [
-    "GUIDED",
-    "CONDITIONAL",
-    "MixtureTheoryParams",
-    "GuidedMoments",
-    "DistortionReport",
-    "zeta",
-    "zeta_typical",
-    "speciation_time",
-    "sample_path_report",
-    "assemble_trajectory",
-    "delta_estimators_linear",
-    "sanity_schedule_speciation",
-]
-
 GUIDED = "guided"
 CONDITIONAL = "conditional"
 

@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Constant", "Linear", "GuidanceSchedule", "guidance_level"]
-
 
 @dataclass(frozen=True)
 class Constant:

@@ -31,17 +31,6 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .schedule import GuidanceSchedule, guidance_level
 
-__all__ = [
-    "SimConfig",
-    "MixtureInstance",
-    "EmpiricalDistortion",
-    "mode_count",
-    "sample_centroids",
-    "make_mixture_score_fn",
-    "integrate_backward",
-    "measure_distortion",
-]
-
 # Fixed processing block: part of the output contract (noise is keyed per
 # block), deliberately independent of the worker count.
 _BLOCK = 1024
@@ -374,7 +363,8 @@ def integrate_backward(
     (config, score_fn) and does not depend on the grouping.  OpenBLAS runs on
     one thread for the whole call, so it does not depend on the BLAS thread
     count either.
-    Raises DomainError for ``workers`` below 1, and NumericalError naming the
+    Raises DomainError for ``workers`` below 1 or more (step, block) streams
+    than the 32 index bits of a Philox key hold, and NumericalError naming the
     first step at which a state leaves float range and a sample that left it.
     A group that raises stops the others before their next step; of the
     groups that raised by then, the first in block order has its error
@@ -384,6 +374,9 @@ def integrate_backward(
         raise DomainError(f"workers must be >= 1, got {workers}")
     grid = time_grid(config, grid_offset)
     n, d = config.n_samples, config.dim
+    n_blocks = (n + _BLOCK - 1) // _BLOCK
+    if (len(grid) - 1) * n_blocks > 2**32:  # a step stream index must fit its 32 key bits
+        raise DomainError(f"{len(grid) - 1} steps x {n_blocks} blocks exceed the 2^32 noise streams")
     sqrt_T = math.sqrt(config.horizon_T)
     mean0 = np.zeros(d) if init_mean is None else np.asarray(init_mean, dtype=float)
     if mean0.shape != (d,):
@@ -391,7 +384,6 @@ def integrate_backward(
     wanted = set(config.checkpoints)
     out = {t: np.empty((n, d)) for t in config.checkpoints}
     x = np.empty((n, d))
-    n_blocks = (n + _BLOCK - 1) // _BLOCK
     n_groups = min(workers, n_blocks)
     # Contiguous groups whose sizes differ by at most one block.
     size, extra = divmod(n_blocks, n_groups)

@@ -30,12 +30,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-__all__ = [
-    "adaptive_quad",
-    "incomplete_beta_definite",
-    "bisection_root",
-]
-
 # A point for the functions that take a float or a numpy array of them.
 FloatOrArray = Union[float, np.ndarray]
 # integrand(x, k): values at the nodes x, an (m, 15) array with one panel per

@@ -27,16 +27,6 @@ from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear
 from .mixture_theory import MixtureTheoryParams, _check_sigma2, assemble_trajectory, delta_estimators_linear
 from .schedule import Constant, Linear
 
-__all__ = [
-    "AxisSpec",
-    "SweepRow",
-    "classify_region",
-    "sweep_beta_w",
-    "sweep_sigma_w",
-    "sweep_schedule_phase_diagram",
-    "sweep_joint_gaussian_schedule",
-]
-
 _SIGN_TOL = 1e-9
 _ZERO_TOL = 1e-6
 # Cells per call of a ramp sweep: the working set of one quadrature batch

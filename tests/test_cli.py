@@ -128,6 +128,14 @@ class TestManifests:
         simulate = json.loads(_read(tmp_path / "j.csv.manifest.json"))["parameters"]
         assert simulate["workers"] == 3
 
+    def test_emit_plot_recorded_only_where_it_is_read(self, tmp_path):
+        main(["--emit-plot", "--out-dir", str(tmp_path), "theory", "joint", "--r", "1", "--s", "0.6",
+              "--w", "1", "--out", "j.csv"])
+        assert "emit_plot" not in json.loads(_read(tmp_path / "j.csv.manifest.json"))["parameters"]
+        main(["--emit-plot", "--out-dir", str(tmp_path), "sweep", "beta-w", "--sigma2", "0.5",
+              "--beta-points", "2", "--w-points", "2", "--out", "g.csv"])
+        assert json.loads(_read(tmp_path / "g.csv.manifest.json"))["parameters"]["emit_plot"] is True
+
     def test_replay_from_manifest_parameters(self, tmp_path):
         argv = ["--seed", "5", "--out-dir", str(tmp_path / "a"), "theory", "mixture",
                 "--sigma2", "0.4", "--beta", "0.2", "--w", "0.8", "--t", "0,1",
@@ -337,12 +345,15 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
     def test_numerical_failure_is_two(self, tmp_path, capsys):
-        rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "40",
-                   "--beta", "0.5", "--sigma2", "0.5", "--w", "1", "--n", "100",
-                   "--out", "s.csv"])
+        # the ramp's prefactors overflow at this r
+        rc = main(["--out-dir", str(tmp_path), "theory", "joint", "--r", "1e300", "--s", "0.5",
+                   "--w0", "0.5", "--omega", "1", "--out", "x.csv"])
         assert rc == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cfglab: numerical failure in theory: ")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -363,7 +374,6 @@ class TestExitCodes:
             ["simulate", "joint", "--d2", "0", "--w", "1", "--n", "10"],
             ["simulate", "joint", "--d2", "-2", "--w", "1", "--n", "10"],
             ["simulate", "joint", "--d2", "3", "--w", "1", "--n", "10", "--model-seed", "-1"],
-            ["theory", "joint", "--r", "1e300", "--s", "0.5", "--w0", "0.5", "--omega", "1"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "inf", "--w", "1",
              "--n", "10"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "1e15", "--w", "1",
@@ -374,22 +384,24 @@ class TestExitCodes:
             ["theory", "mixture", "--sigma2", "1e16", "--beta", "0.5", "--w", "1"],
             ["sweep", "beta-w", "--sigma2", "1e300", "--beta-points", "2", "--w-points", "2"],
             ["sweep", "schedule", "--sigma2", "1e300", "--w0-points", "2", "--omega-points", "2"],
+            # M = exp(beta * d) above the mode budget
+            ["simulate", "mixture", "--d", "40", "--beta", "0.5", "--sigma2", "0.5", "--w", "1",
+             "--n", "100"],
         ],
         ids=["theory_beta_nan", "theory_sigma2_nan", "theory_sigma2_inf", "theory_joint_r_inf",
              "theory_beta_negative", "theory_ramp_beta_negative", "sigma_w_beta_nan",
              "beta_w_sigma2_nan", "beta_w_sigma2_inf", "schedule_sigma2_nan", "schedule_sigma2_inf",
              "joint_schedule_r_inf", "joint_d2_zero", "joint_d2_negative",
-             "joint_model_seed_negative",
-             "theory_joint_ramp_overflow", "simulate_sigma2_inf", "simulate_steps_merge",
+             "joint_model_seed_negative", "simulate_sigma2_inf", "simulate_steps_merge",
              "simulate_sigma2_huge", "theory_sigma2_unresolved", "beta_w_sigma2_unresolved",
-             "schedule_sigma2_unresolved"],
+             "schedule_sigma2_unresolved", "simulate_mode_budget"],
     )
     @pytest.mark.filterwarnings("error")
     def test_nan_or_negative_control_parameter_is_two(self, tmp_path, capsys, argv):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"cfglab: numerical failure in {argv[0]}: ")
+        assert len(err) == 1 and err[0].startswith(f"cfglab: invalid input to {argv[0]}: ")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -413,7 +425,7 @@ class TestExitCodes:
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"cfglab: numerical failure in {argv[0]}: {message}"]
+            f"cfglab: invalid input to {argv[0]}: {message}"]
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -442,6 +454,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("cfglab: cannot write output: ")
         assert "Traceback" not in err
+
+    def test_missing_output_directory_is_found_before_the_work(self, tmp_path, monkeypatch,
+                                                               capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the simulation ran before the output path was checked")
+
+        monkeypatch.setattr(cfglab.cli, "sample_centroids", never)
+        monkeypatch.setattr(cfglab.cli, "integrate_backward", never)
+        rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",
+                   "--sigma2", "0.5", "--w", "1", "--n", "50", "--steps", "20",
+                   "--out", "sub/x.csv"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cfglab: cannot write output: ")
 
     def test_infinite_horizon_fails_before_integrating(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",
@@ -509,7 +535,7 @@ class TestExitCodes:
             main(["--out-dir", str(out_dir), *argv, "--out", "x.csv"])
         assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert "numerical failure" not in err
+        assert "numerical failure" not in err and "invalid input" not in err
         leaf = f"cfglab {argv[0]} {argv[1]}"
         assert err.startswith(f"usage: {leaf} [-h]")
         assert err.splitlines()[-1].startswith(f"{leaf}: error: ")

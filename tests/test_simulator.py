@@ -382,6 +382,17 @@ class TestIntegrateBackward:
         with pytest.raises(DomainError, match="workers must be >= 1"):
             integrate_backward(cfg, lambda x, t: np.zeros_like(x), workers=workers)
 
+    def test_rejects_step_streams_past_the_key_index_bits(self):
+        # Step k of block b draws stream k * n_blocks + b: 2**21 steps of 2049
+        # blocks would reach index 2**32, the centroid stream's key.
+        cfg = SimConfig(dim=1, n_samples=2049 * 1024, seed=0, n_steps=2**21)
+
+        def score(x, t):
+            raise AssertionError("integrated past the stream check")
+
+        with pytest.raises(DomainError, match="2097152 steps x 2049 blocks"):
+            integrate_backward(cfg, score)
+
     def test_deterministic_across_worker_counts(self):
         inst = sample_centroids(5, 9, seed=3, sigma2=0.5)
         cfg = SimConfig(dim=5, n_samples=2500, seed=3, horizon_T=50.0, n_steps=40)
