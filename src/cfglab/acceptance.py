@@ -338,6 +338,11 @@ def _linear_moment_ode_oracle(sigma2: float, sched: Linear, t_end: float,
     return a, v
 
 
+def _fd_gap(f: Callable[[np.ndarray], float], x: np.ndarray, grad: np.ndarray, h: float) -> float:
+    """Largest gap between grad and the central differences of f at x, step h."""
+    return max(abs((f(x + e) - f(x - e)) / (2 * h) - g) for e, g in zip(h * np.eye(x.size), grad))
+
+
 def criterion_8_oracle_suite() -> tuple[bool, str]:
     """Independent-oracle equivalence checks.
 
@@ -421,12 +426,7 @@ def criterion_8_oracle_suite() -> tuple[bool, str]:
         return -0.5 * float((yz**2 / (model.r + t)).sum())
 
     h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    worst = 0.0
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = h
-        worst = max(worst, abs((log_cond(x + e) - log_cond(x - e)) / (2 * h) - cond[j]))
-        worst = max(worst, abs((log_unc(x + e) - log_unc(x - e)) / (2 * h) - uncond[j]))
+    worst = max(_fd_gap(log_cond, x, cond, h), _fd_gap(log_unc, x, uncond, h))
     if worst > 1e-5:
         return False, f"joint scores vs FD off by {worst:.2e}"
 
@@ -442,12 +442,7 @@ def criterion_8_oracle_suite() -> tuple[bool, str]:
         return (1.0 + w) * float(le[0]) - w * mix
 
     sc = make_mixture_score_fn(inst, Constant(w))(xx[None, :], t)[0]
-    h = 1e-5
-    worst_m = 0.0
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        worst_m = max(worst_m, abs((log_guided(xx + e) - log_guided(xx - e)) / (2 * h) - sc[j]))
+    worst_m = _fd_gap(log_guided, xx, sc, 1e-5)
     if worst_m > 1e-5:
         return False, f"mixture score vs FD off by {worst_m:.2e}"
     msgs.append(f"scores FD {max(worst, worst_m):.1e}")

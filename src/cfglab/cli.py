@@ -53,9 +53,6 @@ _VALIDATION_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # The leaf commands whose flags are judged after parsing, by manifest label.
-    leaves: dict[str, argparse.ArgumentParser]
-
     def __init__(self, **kwargs) -> None:  # a flag is never read as another's abbreviation
         super().__init__(allow_abbrev=False, **kwargs)
 
@@ -79,25 +76,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_manifest(primary_out: str, subcommand: str, params: dict, seed: int,
-                    duration_s: float, outputs: list[str], counters: dict[str, int]) -> str:
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "parameters": params,
-        "seed": seed,
-        "duration_s": duration_s,
-        "outputs": outputs,
-    }
-    if counters:
-        manifest["counters"] = counters
-    path = primary_out + ".manifest.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 _PLOT_TEMPLATE = """# gnuplot heatmap for {csv}
@@ -206,15 +184,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cfglab", description=__doc__, parents=[leaf, defaults])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(group: argparse._SubParsersAction, name: str, run) -> _Parser:
+        # A leaf stores the function main runs and itself, the parser that
+        # reports the usage errors found after parsing.
+        p = group.add_parser(name, parents=[leaf])
+        p.set_defaults(run=run, leaf=p)
+        return p
+
     theory = sub.add_parser("theory", help="closed-form guided moments and distortion")
     tsub = theory.add_subparsers(dest="target", required=True)
-    tm = tsub.add_parser("mixture", parents=[leaf])
+    tm = command(tsub, "mixture", _cmd_theory_mixture)
     tm.add_argument("--sigma2", type=float, required=True)
     tm.add_argument("--beta", type=float, required=True)
     _add_schedule_flags(tm)
     tm.add_argument("--t", default="0", help="comma-separated evaluation times")
     tm.add_argument("--out", default="theory_mixture.csv")
-    tj = tsub.add_parser("joint", parents=[leaf])
+    tj = command(tsub, "joint", _cmd_theory_joint)
     tj.add_argument("--r", type=float, required=True)
     tj.add_argument("--s", type=float, required=True)
     _add_schedule_flags(tj)
@@ -223,7 +208,7 @@ def build_parser() -> _Parser:
 
     simulate = sub.add_parser("simulate", help="Monte Carlo guided backward SDE")
     ssub = simulate.add_subparsers(dest="target", required=True)
-    sm = ssub.add_parser("mixture", parents=[leaf])
+    sm = command(ssub, "mixture", _cmd_simulate_mixture)
     sm.add_argument("--d", type=int, required=True)
     sm.add_argument("--beta", type=float, required=True)
     sm.add_argument("--sigma2", type=float, required=True)
@@ -236,7 +221,7 @@ def build_parser() -> _Parser:
     sm.add_argument("--normalize-target", action="store_true",
                     help="rescale the conditioning centroid to norm sqrt(d)")
     sm.add_argument("--out", default="simulate_mixture.csv")
-    sj = ssub.add_parser("joint", parents=[leaf])
+    sj = command(ssub, "joint", _cmd_simulate_joint)
     sj.add_argument("--d2", type=int, required=True)
     _add_schedule_flags(sj)
     sj.add_argument("--n", type=int, required=True)
@@ -248,7 +233,7 @@ def build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="phase-diagram grids as CSV tables")
     wsub = sweep.add_subparsers(dest="target", required=True)
     for kind, (fixed, axes, _) in _SWEEPS.items():
-        p = wsub.add_parser(kind, parents=[leaf])
+        p = command(wsub, kind, _cmd_sweep)
         for name in fixed:
             p.add_argument(f"--{name}", type=float, required=True)
         for name, lo, hi, points, scale in axes:
@@ -261,8 +246,6 @@ def build_parser() -> _Parser:
     val = sub.add_parser("validate", help="run the acceptance criteria", parents=[leaf])
     val.add_argument("--criteria", type=_criteria, default=None,
                      help="comma-separated criterion numbers (default: all)")
-    parser.leaves = {"theory mixture": tm, "theory joint": tj,
-                     "simulate mixture": sm, "simulate joint": sj}
     return parser
 
 
@@ -280,7 +263,7 @@ def _check_flags(ns: argparse.Namespace) -> None:
 
 
 def _resolved_params(ns: argparse.Namespace) -> dict:
-    skip = {"command", "target"}
+    skip = {"command", "target", "run", "leaf"}
     if ns.command != "simulate":
         skip.add("workers")  # only simulate reads it
     if ns.command != "sweep":
@@ -288,32 +271,30 @@ def _resolved_params(ns: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(ns).items()) if k not in skip}
 
 
-def _theory_rows_mixture(ns: argparse.Namespace) -> list[list[object]]:
+# A command takes the namespace and the primary output path and returns its
+# table (header, rows), the other files it wrote and the manifest's counters.
+_Table = tuple[list[str], list[list[object]], list[str], dict[str, int]]
+
+_THEORY_HEADER = ["t", "mean_coeff", "variance", "delta_mu", "delta_sigma2", "phase"]
+
+
+def _cmd_theory_mixture(ns: argparse.Namespace, out: str) -> _Table:
     params = MixtureTheoryParams(ns.sigma2, ns.beta, _schedule_from(ns))
     trajectory, _ = assemble_trajectory(params, sorted(_parse_times(ns.t)))
-    return [[m.t, m.mean_coeff, m.variance, *_relative_deltas(m, ns.sigma2), m.phase]
-            for m in trajectory]
+    return _THEORY_HEADER, [[m.t, m.mean_coeff, m.variance, *_relative_deltas(m, ns.sigma2), m.phase]
+                            for m in trajectory], [], {}
 
 
-def _theory_rows_joint(ns: argparse.Namespace) -> list[list[object]]:
+def _cmd_theory_joint(ns: argparse.Namespace, out: str) -> _Table:
     sched = _schedule_from(ns)
-    times = sorted(_parse_times(ns.t))
     rows: list[list[object]] = []
-    for t in times:
+    for t in sorted(_parse_times(ns.t)):
         mean_coeff, variance = moments(ns.s, ns.r, sched, t)
         rows.append([t, mean_coeff, variance, mean_coeff - 1.0, variance / (ns.s + t) - 1.0, ""])
-    return rows
+    return _THEORY_HEADER, rows, [], {}
 
 
-def _cmd_theory(ns: argparse.Namespace) -> list[str]:
-    header = ["t", "mean_coeff", "variance", "delta_mu", "delta_sigma2", "phase"]
-    rows = _theory_rows_mixture(ns) if ns.target == "mixture" else _theory_rows_joint(ns)
-    out = os.path.join(ns.out_dir, ns.out)
-    _write_csv(out, header, rows)
-    return [out]
-
-
-def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
+def _cmd_simulate_mixture(ns: argparse.Namespace, out: str) -> _Table:
     sched = _schedule_from(ns)
     checkpoints = tuple(_parse_times(ns.checkpoints))
     M = mode_count(ns.beta, ns.d)
@@ -329,22 +310,19 @@ def _cmd_simulate_mixture(ns: argparse.Namespace) -> list[str]:
     del inst
     samples = integrate_backward(config, score, grid_offset=ns.sigma2, workers=ns.workers)
     rows = []
-    outputs = []
-    out = os.path.join(ns.out_dir, ns.out)
-    for t in config.checkpoints:
+    for t in config.checkpoints:  # every estimate is finite before any file is written
         emp = measure_distortion(samples[t], target, ns.sigma2 + t, seed=ns.seed)
         rows.append([t, emp.delta_mu_hat, emp.delta_mu_se, emp.delta_sigma2_hat,
                      emp.delta_sigma2_se, emp.n_samples])
-        if ns.dump_samples:
-            dump = _stem(out) + f"_samples_t{_fmt(float(t))}.csv"
-            _write_csv(dump, [f"x_{j + 1}" for j in range(ns.d)], samples[t].tolist())
-            outputs.append(dump)
-    _write_csv(out, ["t", "delta_mu_hat", "delta_mu_se", "delta_sigma2_hat",
-                     "delta_sigma2_se", "n_samples"], rows)
-    return [out] + outputs
+    dumps = []
+    for t in config.checkpoints if ns.dump_samples else ():
+        dumps.append(_stem(out) + f"_samples_t{_fmt(float(t))}.csv")
+        _write_csv(dumps[-1], [f"x_{j + 1}" for j in range(ns.d)], samples[t].tolist())
+    return ["t", "delta_mu_hat", "delta_mu_se", "delta_sigma2_hat", "delta_sigma2_se",
+            "n_samples"], rows, dumps, {}
 
 
-def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
+def _cmd_simulate_joint(ns: argparse.Namespace, out: str) -> _Table:
     sched = _schedule_from(ns)
     model = random_model(ns.d2, ns.model_seed)
     config = SimConfig(dim=ns.d2, n_samples=ns.n, seed=ns.seed, horizon_T=ns.T, n_steps=ns.steps)
@@ -364,28 +342,24 @@ def _cmd_simulate_joint(ns: argparse.Namespace) -> list[str]:
         [i, mean_th[i], mean_sim[i], mean_se[i], cov_eigs[i], var_sim[i]]
         for i in range(ns.d2)
     ]
-    out = os.path.join(ns.out_dir, ns.out)
-    _write_csv(out, ["eig_index", "mean_theory", "mean_sim", "mean_se",
-                     "var_eig_theory", "var_eig_sim"], rows)
-    return [out]
+    return ["eig_index", "mean_theory", "mean_sim", "mean_se", "var_eig_theory",
+            "var_eig_sim"], rows, [], {}
 
 
-def _cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], dict[str, int]]:
-    """Write the sweep's CSV; returns the outputs and the manifest's counters
-    (the cells and the failed cells), which stay out of the CSV."""
+def _cmd_sweep(ns: argparse.Namespace, out: str) -> _Table:
+    """The sweep's table; its counters (the cells and the failed cells) stay
+    out of the CSV."""
     fixed, axes, sweep = _SWEEPS[ns.target]
     names = [name for name, *_ in axes]
     specs = [AxisSpec(name, *(getattr(ns, f"{name}_{k}") for k in ("min", "max", "points", "scale")))
              for name in names]
     rows = sweep(*(getattr(ns, name) for name in fixed), *specs)
-    out = os.path.join(ns.out_dir, ns.out)
-    _write_csv(out, [*names, "t_speciation", "delta_mu", "delta_sigma2", "region_label", "error"],
-               [[r.axis1_value, r.axis2_value, r.t_speciation, r.delta_mu, r.delta_sigma2,
-                 r.region_label, r.error] for r in rows])
-    outputs = [out]
-    if ns.emit_plot:
-        outputs.append(_write_plot_script(out, names[0], names[1], f"sweep {ns.target}", 4))
-    return outputs, {"cells": len(rows), "failed_cells": sum(r.region_label == "failed" for r in rows)}
+    table = [[r.axis1_value, r.axis2_value, r.t_speciation, r.delta_mu, r.delta_sigma2,
+              r.region_label, r.error] for r in rows]
+    plot = [_write_plot_script(out, names[0], names[1], f"sweep {ns.target}", 4)] if ns.emit_plot else []
+    counters = {"cells": len(rows), "failed_cells": sum(r.region_label == "failed" for r in rows)}
+    return ([*names, "t_speciation", "delta_mu", "delta_sigma2", "region_label", "error"], table,
+            plot, counters)
 
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
@@ -406,28 +380,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_flags(ns)
     except argparse.ArgumentTypeError as exc:
-        parser.leaves[f"{ns.command} {ns.target}"].error(str(exc))
+        ns.leaf.error(str(exc))
     try:
         os.makedirs(ns.out_dir, exist_ok=True)
-        out = os.path.join(ns.out_dir, getattr(ns, "out", ""))
+        if ns.command == "validate":  # the one command without a table
+            return _cmd_validate(ns)
+        out = os.path.join(ns.out_dir, ns.out)
         if not os.path.isdir(os.path.dirname(out) or "."):  # found before the work, not after
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
         started = time.perf_counter()
-        if ns.command == "validate":
-            return _cmd_validate(ns)
-        counters: dict[str, int] = {}
-        if ns.command == "theory":
-            outputs = _cmd_theory(ns)
-        elif ns.command == "simulate":
-            outputs = (
-                _cmd_simulate_mixture(ns) if ns.target == "mixture" else _cmd_simulate_joint(ns)
-            )
-        else:
-            outputs, counters = _cmd_sweep(ns)
-        duration = time.perf_counter() - started
-        _write_manifest(outputs[0], f"{ns.command} {ns.target}", _resolved_params(ns), ns.seed,
-                        duration, [os.path.basename(o) for o in outputs], counters)
-        for o in outputs:
+        header, rows, extra, counters = ns.run(ns, out)
+        _write_csv(out, header, rows)
+        manifest = {"tool_version": __version__, "subcommand": f"{ns.command} {ns.target}",
+                    "parameters": _resolved_params(ns), "seed": ns.seed,
+                    "duration_s": time.perf_counter() - started,
+                    "outputs": [os.path.basename(o) for o in [out, *extra]]}
+        if counters:
+            manifest["counters"] = counters
+        with open(out + ".manifest.json", "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for o in [out, *extra]:
             print(o)
         return 0
     except DomainError as exc:

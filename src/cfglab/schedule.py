@@ -27,8 +27,10 @@ class Linear:
     """Ramped guidance w(t) = w0 + omega * t.
 
     omega > 0 with w0 < 0 opens a negative-guidance window on [0, -w0/omega).
-    w0 and omega may be arrays that broadcast together: a batch of ramps,
-    which the ramp moments evaluate in one call.
+    A flat ramp (omega = 0) is the constant level w0, so it needs w0 > -1/2,
+    as ``Constant`` does.  w0 and omega may be arrays that broadcast
+    together: a batch of ramps, which the ramp moments evaluate in one call;
+    each rule holds in every cell.
     """
 
     w0: Union[float, np.ndarray]
@@ -41,6 +43,11 @@ class Linear:
             if bad.any():
                 got = getattr(self, name) if value.ndim == 0 else value.flat[np.argmax(bad)]
                 raise DomainError(f"linear schedule requires {name} >= {least:g}, got {got}")
+        w0, omega = np.broadcast_arrays(self.w0, self.omega)
+        flat = (omega == 0.0) & (w0 <= -0.5)
+        if flat.any():
+            raise DomainError("linear schedule with omega = 0 requires w0 > -1/2, "
+                              f"got w0 = {w0.flat[np.argmax(flat)]}")
 
 
 GuidanceSchedule = Union[Constant, Linear]

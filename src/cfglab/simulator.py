@@ -450,7 +450,8 @@ def measure_distortion(
     coordinates.  sigma2 is the reference variance: for samples at time t,
     pass the per-mode variance plus t, the conditional marginal's variance
     there, as the theory does.  The bootstrap stream is keyed separately
-    from the SDE noise.
+    from the SDE noise.  NumericalError names the four numbers when one of
+    them is not finite (samples or a variance past float range).
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -464,17 +465,23 @@ def measure_distortion(
         s2_hat = float(Y.var(axis=0, ddof=1).mean())
         return dmu, (s2_hat - sigma2) / sigma2
 
-    dmu, dsig = estimates(X)
-    rng = _philox(seed, _TAG_BOOTSTRAP)
-    boots = np.empty((_N_BOOTSTRAP, 2))
-    for k in range(_N_BOOTSTRAP):
-        idx = rng.integers(0, n, n)
-        boots[k] = estimates(X[idx])
-    se = boots.std(axis=0, ddof=1)
-    return EmpiricalDistortion(
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmu, dsig = estimates(X)
+        rng = _philox(seed, _TAG_BOOTSTRAP)
+        boots = np.empty((_N_BOOTSTRAP, 2))
+        for k in range(_N_BOOTSTRAP):
+            idx = rng.integers(0, n, n)
+            boots[k] = estimates(X[idx])
+        se = boots.std(axis=0, ddof=1)
+    emp = EmpiricalDistortion(
         delta_mu_hat=dmu,
         delta_mu_se=float(se[0]),
         delta_sigma2_hat=dsig,
         delta_sigma2_se=float(se[1]),
         n_samples=n,
     )
+    if not all(map(math.isfinite, (dmu, emp.delta_mu_se, dsig, emp.delta_sigma2_se))):
+        raise NumericalError(
+            f"non-finite distortion estimates: delta_mu {dmu} (se {emp.delta_mu_se}), "
+            f"delta_sigma2 {dsig} (se {emp.delta_sigma2_se})")
+    return emp

@@ -469,6 +469,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("cfglab: cannot write output: ")
 
+    @pytest.mark.parametrize(
+        "flags", [["--T", "1e200"], ["--sigma2", "1e-300", "--checkpoints", "0,1", "--dump-samples"]],
+        ids=["horizon_past_float_range", "variance_ratio_past_float_range"])
+    def test_non_finite_estimate_is_two(self, tmp_path, capsys, flags):
+        # the sample variance overflows: no inf standard error in a CSV, and
+        # no dump from a checkpoint estimated before the failing one
+        rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",
+                   "--sigma2", "0.5", "--w", "1", "--n", "10", "--steps", "20", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cfglab: numerical failure in simulate: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_horizon_fails_before_integrating(self, tmp_path, capsys):
         rc = main(["--out-dir", str(tmp_path), "simulate", "mixture", "--d", "3", "--beta", "0.3",
                    "--sigma2", "0.5", "--w", "1", "--n", "10", "--steps", "10", "--T", "inf",
@@ -523,10 +536,15 @@ class TestExitCodes:
              "--workers", "0"],
             ["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "1",
              "--n", "50", "--steps", "20", "--workers", "-2"],
+            # a flat ramp is the constant level w0, found before any work
+            ["theory", "joint", "--r", "1", "--s", "0.6", "--w0", "-0.7", "--omega", "0"],
+            ["simulate", "joint", "--d2", "3", "--w0", "-0.7", "--omega", "0", "--n", "10",
+             "--steps", "20"],
         ],
         ids=["no_schedule", "bad_time_list", "both_schedules", "empty_checkpoints",
              "w_below_half", "w_nan", "w0_below_minus_one", "omega_negative",
-             "non_finite_times", "non_finite_checkpoints", "workers_zero", "workers_negative"],
+             "non_finite_times", "non_finite_checkpoints", "workers_zero", "workers_negative",
+             "flat_ramp_theory", "flat_ramp_simulate"],
     )
     def test_bad_schedule_or_time_list_is_a_usage_error(self, tmp_path, capsys, argv):
         # reported by the leaf command, before --out-dir is created

@@ -270,6 +270,13 @@ class TestLinearScheduleCoefficients:
         with pytest.raises(DomainError):
             lambda_coeff_linear(1.0, 1.0, Linear(0.2, 0.5), 0.0)
 
+    def test_flat_ramp_needs_a_constant_level_above_minus_half(self):
+        # omega = 0 is the constant level w0: rejected in any cell of a batch
+        with pytest.raises(DomainError, match="omega = 0 requires w0 > -1/2, got w0 = -0.7"):
+            Linear(np.array([-0.7, 0.2]), np.array([0.0, 0.0]))
+        Linear(-0.7, 1.0)
+        Linear(-0.4, 0.0)
+
 
 class TestGuidedMoments:
     def test_unguided_reproduces_conditional(self):
