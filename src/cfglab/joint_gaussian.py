@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .schedule import Constant, GuidanceSchedule, Linear, guidance_level
 from .simulator import _BLOCK
-from .special_math import FloatOrArray, _flat, incomplete_beta_definite
+from .special_math import FloatOrArray, _check_each, _flat, incomplete_beta_definite
 
 _ORTHO_TOL = 1e-10
 
@@ -72,54 +72,63 @@ class JointGaussianModel:
         return self.basis.shape[0]
 
 
-def _check_pair(s: float, r: float) -> None:
-    if not (0.0 < s <= r < math.inf):
-        raise DomainError(f"need 0 < s <= r < inf, got s={s}, r={r}")
+def _check_pair(s: FloatOrArray, r: FloatOrArray) -> None:
+    _check_each((0.0 < s) & (s <= r) & (r < math.inf),
+                lambda s, r: f"need 0 < s <= r < inf, got s={s}, r={r}", s, r)
 
 
-def _ratio_power_m1(s: float, r: float, k: float, t: FloatOrArray) -> FloatOrArray:
+def _ratio_power_m1(s: FloatOrArray, r: FloatOrArray, k: FloatOrArray, t: FloatOrArray) -> FloatOrArray:
     """((s+t)/(r+t))^k - 1 through expm1/log1p, so s -> r stays exact; ``math``
-    for a float t (it rounds differently from numpy), numpy for an array.  Once
-    s is below the resolution of r + t the ratio rounds to -1, where a float
-    takes numpy's log1p limit -inf (``math.log1p`` raises)."""
+    when every argument is a float (it rounds differently from numpy), numpy
+    when one is an array.  Once s is below the resolution of r + t the ratio
+    rounds to -1, where both take numpy's log1p limit -inf (``math.log1p``
+    raises, numpy warns)."""
     x = (s - r) / (r + t)
-    if isinstance(t, np.ndarray):
-        return np.expm1(k * np.log1p(x))
+    if isinstance(x, np.ndarray) or isinstance(k, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.expm1(k * np.log1p(x))
     return math.expm1(k * (math.log1p(x) if x > -1.0 else -math.inf))
 
 
-def lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
+def lambda_formula(s: FloatOrArray, r: FloatOrArray, w: FloatOrArray, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r, unchecked
-    (``propagate`` checks); t a float or an array, as in ``_ratio_power_m1``."""
+    (``propagate`` checks); elementwise over arrays, ``math`` on floats, as
+    in ``_ratio_power_m1``."""
     return (r + t) * _ratio_power_m1(s, r, w + 1.0, t) / (s - r)
 
 
-def Lambda_formula(s: float, r: float, w: float, t: FloatOrArray) -> FloatOrArray:
+def Lambda_formula(s: FloatOrArray, r: FloatOrArray, w: FloatOrArray, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(1+2w)/(r+t)^(2w) - (r+t)) / ((2w+1)(s-r)) for s != r, unchecked
-    (``propagate`` checks); t as in ``lambda_formula``."""
+    (``propagate`` checks); arguments as in ``lambda_formula``."""
     k = 2.0 * w + 1.0
     return (r + t) * _ratio_power_m1(s, r, k, t) / (k * (s - r))
 
 
 def propagate(
-    s: float, r: float, w: float, t: FloatOrArray, start: Optional[tuple[float, float, float]] = None
+    s: FloatOrArray, r: FloatOrArray, w: FloatOrArray, t: FloatOrArray,
+    start: Optional[tuple[FloatOrArray, FloatOrArray, FloatOrArray]] = None,
 ) -> tuple[FloatOrArray, FloatOrArray]:
-    """(mean_coeff, variance) of the pair 0 < s <= r < inf at time t (a float or an
-    array, checked elementwise) under constant w > -1/2: the horizon-free
-    (lambda, (s+t) Lambda), whose s = r limit is (1+w, s+t), or seeded by
-    ``start=(T, mean_T, var_T)`` at a finite T >= t, whose gap to them the
-    linear dynamics decay by D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for
-    the variance).  w = 0 gives lambda = Lambda = 1 to rounding, and w >= 0
-    implies lambda >= 1 and Lambda <= 1."""
+    """(mean_coeff, variance) of the pair 0 < s <= r < inf at time t under
+    constant w > -1/2: the horizon-free (lambda, (s+t) Lambda), whose s = r
+    limit is (1+w, s+t), or seeded by ``start=(T, mean_T, var_T)`` at a
+    finite T >= t, whose gap to them the linear dynamics decay by
+    D = ((s+t)/(s+T))^(1+w) ((r+T)/(r+t))^w (D^2 for the variance).  w = 0
+    gives lambda = Lambda = 1 to rounding, and w >= 0 implies lambda >= 1
+    and Lambda <= 1.  Every argument, start's included, may be an array: the
+    arrays broadcast to a batch of cells, each checked, and DomainError names
+    the first bad one."""
     _check_pair(s, r)
-    if not (w > -0.5):
-        raise DomainError(f"constant guidance requires w > -1/2, got {w}")
+    _check_each(np.asarray(w) > -0.5, lambda w: f"constant guidance requires w > -1/2, got {w}", w)
     T = math.inf if start is None else start[0]
-    lo, hi = (t.min(), t.max()) if isinstance(t, np.ndarray) else (t, t)  # floats skip numpy call overhead
-    if not (0.0 <= lo and hi <= T):  # a nan t or T fails
-        raise DomainError(f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}")
-    if s == r:
-        mean, var = (np.full(t.shape, 1.0 + w) if isinstance(t, np.ndarray) else 1.0 + w), s + t
+    lo, hi = np.min(t), np.max(t)  # a nan t fails
+    _check_each((0.0 <= lo) & (t <= T), lambda T: f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}", T)
+    same = s == r
+    if np.any(same):  # the s = r limit (1+w, s+t), where the closed forms divide 0 by 0
+        apart = np.where(same, s + 1.0, r)
+        mean = np.where(same, 1.0 + w, lambda_formula(s, apart, w, t))
+        var = np.where(same, s + t, (s + t) * Lambda_formula(s, apart, w, t))
+        if mean.ndim == 0:
+            mean, var = float(mean), float(var)
     else:
         mean, var = lambda_formula(s, r, w, t), (s + t) * Lambda_formula(s, r, w, t)
     if start is None:
@@ -131,11 +140,11 @@ def propagate(
 
 
 def _per_ramp(s: float, r: float, sched: Linear, t: float,
-              constant: Callable[[float], float],
+              constant: Callable[[np.ndarray], np.ndarray],
               ramped: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> FloatOrArray:
-    """A ramp coefficient at every (w0, omega) of sched: constant(w0) one cell
-    at a time where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
-    on the other cells as one batch.  A float for a float schedule.
+    """A ramp coefficient at every (w0, omega) of sched: constant(w0) on the
+    cells where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
+    on the other cells, each as one batch.  A float for a float schedule.
     NumericalError names the first ramp whose coefficient overflows."""
     _check_pair(s, r)
     if not (t >= 0.0):
@@ -143,8 +152,8 @@ def _per_ramp(s: float, r: float, sched: Linear, t: float,
     shape, (w0, omega) = _flat(sched.w0, sched.omega)
     out = np.empty(w0.size)
     level = omega == 0.0
-    for i in np.flatnonzero(level):
-        out[i] = constant(float(w0[i]))
+    if np.count_nonzero(level):
+        out[level] = constant(w0[level])
     if np.count_nonzero(level) < level.size:
         with np.errstate(over="ignore", invalid="ignore"):
             out[~level] = ramped(w0[~level], omega[~level])

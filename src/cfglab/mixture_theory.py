@@ -28,7 +28,10 @@ conditional phase is the propagator at w = 0, seeded at t_s by the guided
 moments there.  One ``assemble_trajectory`` serves every schedule.  The
 switch is computed for a constant schedule only; a ramp's trajectory has
 t_s = None, the guided-only regime of a class density large enough that the
-process never switches.
+process never switches.  Under a constant schedule sigma^2, beta and w may
+be arrays: a batch of cells whose switch scans, root polishes and moments
+each run as one array computation (a float call is a batch of one), and a
+cell gets the same bits alone as in any batch.
 
 Conventions fixed by exactly solvable limits (see the test suite):
 * zeta_t is evaluated on the mean path, q1 = (a-1)^2, q2 = a^2 with
@@ -52,58 +55,73 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError
 from .joint_gaussian import Lambda_coeff_linear, lambda_coeff_linear, lambda_formula, moments, propagate
 from .schedule import Constant, GuidanceSchedule, Linear
-from .special_math import FloatOrArray, bisection_root
+from .special_math import FloatOrArray, _check_each, _flat, bisection_root
 
 GUIDED = "guided"
 CONDITIONAL = "conditional"
 
-# The switch-time scan brackets a sign change on a log grid before refining.
+# The switch-time scan brackets a sign change on a log grid before refining,
+# in chunks of _SCAN_ROWS cells: a (cells x 400) scan of a whole batch would
+# hold several MB of temporaries at once.
 _SCAN_GRID = np.geomspace(1e-6, 1e8, 400)
+_LOG_SCAN_GRID = np.log(_SCAN_GRID)
+_SCAN_ROWS = 16
+
+# A switch time per cell: None, math.inf or a positive float (``DistortionReport``).
+SwitchTime = Optional[float]
 
 
-def _check_sigma2(sigma2: float) -> None:
-    """DomainError unless 0 < sigma2 < 2**53: from 2**53 on, floats no longer
-    resolve the guided phase's r = sigma2 + 1.  It rounds to sigma2, where
-    the closed forms divide 0 by 0, or to sigma2 + 2."""
-    if not (0 < sigma2 < 2.0**53):
-        raise DomainError(f"sigma2 must be positive and below 2**53, got {sigma2}")
+def _check_sigma2(sigma2: FloatOrArray) -> None:
+    """DomainError unless 0 < sigma2 < 2**53 in every cell: from 2**53 on,
+    floats no longer resolve the guided phase's r = sigma2 + 1.  It rounds to
+    sigma2, where the closed forms divide 0 by 0, or to sigma2 + 2."""
+    _check_each((0 < np.asarray(sigma2)) & (np.asarray(sigma2) < 2.0**53),
+                lambda s: f"sigma2 must be positive and below 2**53, got {s}", sigma2)
 
 
 @dataclass(frozen=True)
 class MixtureTheoryParams:
-    """Mean-field control parameters of the mixture target."""
+    """Mean-field control parameters of the mixture target.
 
-    sigma2: float  # per-mode variance
-    beta: float  # class-density exponent log(M)/d
+    Under a constant schedule sigma2, beta and the schedule's w may be arrays
+    that broadcast together: a batch of cells, each checked.
+    """
+
+    sigma2: FloatOrArray  # per-mode variance
+    beta: FloatOrArray  # class-density exponent log(M)/d
     schedule: GuidanceSchedule
 
     def __post_init__(self) -> None:
         _check_sigma2(self.sigma2)
-        if not (self.beta >= 0):
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        _check_each(np.asarray(self.beta) >= 0, lambda b: f"beta must be >= 0, got {b}", self.beta)
 
 
 @dataclass(frozen=True)
 class GuidedMoments:
-    """Reduced trajectory state: mean = mean_coeff * c1, isotropic variance."""
+    """Reduced trajectory state: mean = mean_coeff * c1, isotropic variance.
+
+    For a batch of cells mean_coeff and variance are arrays and phase is a
+    list, one entry per cell.
+    """
 
     t: float
-    mean_coeff: float
-    variance: float
-    phase: str
+    mean_coeff: FloatOrArray
+    variance: FloatOrArray
+    phase: Union[str, list[str]]
 
     def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise DomainError(f"variance must be >= 0, got {self.variance}")
-        if self.phase not in (GUIDED, CONDITIONAL):
-            raise DomainError(f"unknown phase label {self.phase!r}")
+        _check_each(~(np.asarray(self.variance) < 0), lambda v: f"variance must be >= 0, got {v}",
+                    self.variance)
+        for phase in [self.phase] if isinstance(self.phase, str) else self.phase:
+            if phase not in (GUIDED, CONDITIONAL):
+                raise DomainError(f"unknown phase label {phase!r}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +134,13 @@ class DistortionReport:
     For a ramped schedule it is always None: no switch is computed, and the
     report is that of the guided-only regime.
     Switch times are positive, so the phase at t = 0 is guided exactly when
-    ``t_speciation`` is None.
+    ``t_speciation`` is None.  For a batch of cells the deltas are flat
+    arrays and ``t_speciation`` a list, in the batch's flat order.
     """
 
-    delta_mu: float
-    delta_sigma2: float
-    t_speciation: Optional[float]
+    delta_mu: FloatOrArray
+    delta_sigma2: FloatOrArray
+    t_speciation: Union[SwitchTime, list[SwitchTime]]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +149,7 @@ class DistortionReport:
 
 
 def zeta(
-    t: FloatOrArray, lam: float, sigma2: float, q1: FloatOrArray, q2: FloatOrArray
+    t: FloatOrArray, lam: float, sigma2: FloatOrArray, q1: FloatOrArray, q2: FloatOrArray
 ) -> FloatOrArray:
     """Per-coordinate log-MGF of the mode-overlap energies at position x.
 
@@ -138,9 +157,8 @@ def zeta(
     zeta = lam*q1/(2g) - log(1 + lam/g)/2 - lam*q2/(2(g+lam)), g = sigma2 + t.
     Elementwise over array arguments; DomainError if any element has
     sigma2 + t <= 0 or sigma2 + t + lam <= 0.  A float t is checked without
-    numpy; the log1p stays numpy's for floats too, since ``math.log1p``
-    rounds differently and would move the switch roots and the number of
-    Brent steps that reach them.
+    numpy; the log1p stays numpy's for floats too (``math.log1p`` rounds
+    differently), so a float gets the bits of the same element of an array.
     """
     g = sigma2 + t
     g_min = g.min() if isinstance(g, np.ndarray) else g  # floats skip numpy call overhead
@@ -153,9 +171,10 @@ def zeta(
     )
 
 
-def zeta_typical(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
+def zeta_typical(t: FloatOrArray, sigma2: FloatOrArray, w: FloatOrArray) -> FloatOrArray:
     """zeta at unit tilt along the typical guided trajectory: the mean path
-    q1 = (a-1)^2, q2 = a^2 with |c1|^2/d = 1 and a = lambda(t).
+    q1 = (a-1)^2, q2 = a^2 with |c1|^2/d = 1 and a = lambda(t); elementwise
+    over arrays that broadcast together.
 
     Tends to -(1+w)/t at large t, so the switch time diverges like (1+w)/beta
     when the class density beta vanishes.
@@ -169,25 +188,26 @@ def zeta_typical(t: FloatOrArray, sigma2: float, w: float) -> FloatOrArray:
 # ---------------------------------------------------------------------------
 
 
-def speciation_time(params: MixtureTheoryParams) -> Optional[float]:
+def speciation_time(params: MixtureTheoryParams) -> Union[SwitchTime, list[SwitchTime]]:
     """Backward time where the guided phase hands over to the conditional one.
 
-    Solves beta + zeta_typical(t) = 0 for its largest root: one array
-    evaluation on a log grid on (1e-6, 1e8) brackets the last sign change,
-    and ``bisection_root`` polishes that scan cell in log t (Brent's method
-    on floats).  Returns None when beta + zeta stays positive on the whole
-    grid (no transition), and math.inf when it is negative even at the
-    largest grid time (the process is conditional before any finite time;
-    zero distortion).
+    Solves beta + zeta_typical(t) = 0 for its largest root: ``_switch_root``
+    brackets the last sign change on a log grid on (1e-6, 1e8), and
+    ``bisection_root`` polishes that scan cell in log t.  Returns None when
+    beta + zeta stays positive on the whole grid (no transition), and
+    math.inf when it is negative even at the largest grid time (the process
+    is conditional before any finite time; zero distortion).  For a batch of
+    cells, a list of these in the batch's flat order, from one scan and one
+    polish; float params are a batch of one and return its value.
     """
     if not isinstance(params.schedule, Constant):
         raise DomainError("speciation_time is defined for constant schedules")
-    w = params.schedule.w
-    beta = params.beta
-    return _switch_root(lambda t: beta + zeta_typical(t, params.sigma2, w))
+    shape, (sigma2, beta, w) = _flat(params.sigma2, params.beta, params.schedule.w)
+    t_s = _switch_root(lambda t, k: beta[k] + zeta_typical(t, sigma2[k], w[k]), beta.size)
+    return t_s if shape else t_s[0]
 
 
-def sample_path_report(sigma2: float, beta: float, w: float) -> DistortionReport:
+def sample_path_report(sigma2: FloatOrArray, beta: FloatOrArray, w: FloatOrArray) -> DistortionReport:
     """Constant-guidance distortion at t = 0 with the phase switch placed
     where the samples of the guided phase make it.
 
@@ -196,43 +216,58 @@ def sample_path_report(sigma2: float, beta: float, w: float) -> DistortionReport
     switch is the largest root of beta + zeta(t, 1, sigma2, q1, q2), the
     moments on either side are ``assemble_trajectory``'s.  At w = 0 the root
     is the collapse time 1/(exp(2 beta) - 1) - sigma2 and the distortion
-    vanishes.
+    vanishes.  Arrays are a batch of cells, as in ``MixtureTheoryParams``.
     """
-    params = MixtureTheoryParams(sigma2, beta, Constant(w))  # checks all three
+    MixtureTheoryParams(sigma2, beta, Constant(w))  # checks all three
+    shape, (sigma2, beta, w) = _flat(sigma2, beta, w)
 
-    def switch(t: FloatOrArray) -> FloatOrArray:
-        a, s2 = propagate(sigma2, sigma2 + 1.0, w, t)
-        return beta + zeta(t, 1.0, sigma2, (a - 1.0) ** 2 + s2, a * a + s2)
+    def switch(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        a, s2 = propagate(sigma2[k], sigma2[k] + 1.0, w[k], t)
+        return beta[k] + zeta(t, 1.0, sigma2[k], (a - 1.0) ** 2 + s2, a * a + s2)
 
-    t_s = _switch_root(switch)
-    at_zero = _moments_at(0.0, t_s, sigma2, params.schedule)
-    return DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
+    t_s = _switch_root(switch, beta.size)
+    return _report(shape, _moments_at(0.0, t_s, sigma2, Constant(w)), sigma2, t_s)
 
 
-def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
-    """Largest root in t of a switch condition f(t) = beta + zeta(t).
+def _switch_root(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int) -> list[SwitchTime]:
+    """Largest root in t of the switch condition f(t, k) = beta + zeta(t) of
+    each cell k of a batch of n, as a list.
 
-    f takes an array of times or one float time.  One call of f on the
-    400-point log grid on (1e-6, 1e8) finds the last grid point where f <= 0,
-    so this scan alone decides which root is the largest; ``bisection_root``
-    then polishes the scan cell above it in log t to 1e-13 with Brent's
-    method, a few float calls at t = math.exp(y), so the closed forms take
-    their ``math`` branch.  None when f stays positive on the whole grid,
-    math.inf when f is nonpositive even at the largest grid time (the
-    sentinels of ``DistortionReport``); a grid point where f is exactly zero
-    is returned as it is.
+    f takes times and cell indices that broadcast together.  The scan calls
+    f on the 400-point log grid on (1e-6, 1e8) for _SCAN_ROWS cells at a
+    time, a (cells x 400) array, and finds each cell's last grid point where
+    f <= 0, so the scan alone decides which root is the largest.  One
+    ``bisection_root`` call then polishes the scan cell above it of every
+    cell in log t to 1e-13 with Brent's method, calling f at t = exp(y) on
+    the cells still going.  A cell's value is None when f stays positive on
+    its whole grid and math.inf when f is nonpositive even at the largest
+    grid time (the sentinels of ``DistortionReport``); a grid point where f
+    is exactly zero is returned as it is.
     """
-    values = f(_SCAN_GRID)
-    if values[-1] <= 0.0:
-        return math.inf
-    nonpositive = np.flatnonzero(values[:-1] <= 0.0)
-    if nonpositive.size == 0:
-        return None
-    k = int(nonpositive[-1])
-    if values[k] == 0.0:
-        return float(_SCAN_GRID[k])
-    lo, hi = math.log(_SCAN_GRID[k]), math.log(_SCAN_GRID[k + 1])
-    return math.exp(bisection_root(lambda y: f(math.exp(y)), lo, hi, 1e-13))
+    t_s: list[SwitchTime] = [None] * n
+    polish, last = [], []  # the cells with a bracket, and its lower grid index
+    for first in range(0, n, _SCAN_ROWS):
+        cells = np.arange(first, min(first + _SCAN_ROWS, n))
+        values = f(_SCAN_GRID, cells[:, None])
+        below = values[:, :-1] <= 0.0
+        j = below.shape[1] - 1 - np.argmax(below[:, ::-1], axis=1)  # the last True of each row
+        top, found = (values[:, -1] <= 0.0).tolist(), below.any(axis=1).tolist()
+        hit = (values[np.arange(cells.size), j] == 0.0).tolist()
+        for row, cell in enumerate(cells.tolist()):
+            if top[row]:
+                t_s[cell] = math.inf
+            elif found[row] and hit[row]:
+                t_s[cell] = float(_SCAN_GRID[j[row]])
+            elif found[row]:
+                polish.append(cell)
+                last.append(j[row])
+    if polish:
+        cells, last = np.array(polish), np.array(last)
+        y = bisection_root(lambda y, k: f(np.exp(y), cells[k]),
+                           _LOG_SCAN_GRID[last], _LOG_SCAN_GRID[last + 1], 1e-13)
+        for cell, t in zip(polish, np.exp(y).tolist()):
+            t_s[cell] = t
+    return t_s
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +276,25 @@ def _switch_root(f: Callable[[FloatOrArray], FloatOrArray]) -> Optional[float]:
 
 
 def _moments_at(
-    t: float, t_s: Optional[float], sigma2: float, sched: GuidanceSchedule
+    t: float, t_s: list[SwitchTime], sigma2: FloatOrArray, sched: GuidanceSchedule
 ) -> GuidedMoments:
-    """Piecewise moments at time t for switch time t_s (``DistortionReport``'s
-    sentinels): guided at and above t_s or throughout when t_s is None, the
-    exact conditional marginal when t_s is math.inf, otherwise the guided
-    propagator at w = 0 seeded by the guided moments at t_s."""
-    if t_s is None or t >= t_s:
-        return GuidedMoments(t, *moments(sigma2, sigma2 + 1.0, sched, t), GUIDED)
-    if math.isinf(t_s):
-        return GuidedMoments(t, 1.0, sigma2 + t, CONDITIONAL)
-    start = (t_s, *moments(sigma2, sigma2 + 1.0, sched, t_s))
-    return GuidedMoments(t, *propagate(sigma2, sigma2 + 1.0, 0.0, t, start), CONDITIONAL)
+    """Piecewise moments at time t of a batch of cells for their switch times
+    t_s (``DistortionReport``'s sentinels): guided at and above t_s or
+    throughout when t_s is None, the exact conditional marginal when t_s is
+    math.inf, otherwise the guided propagator at w = 0 seeded by the guided
+    moments at t_s.  sigma2 and the schedule hold one value per cell, or are
+    floats for one cell."""
+    mean, var = (np.atleast_1d(x) for x in moments(sigma2, sigma2 + 1.0, sched, t))
+    switch = np.array([t if ts is None else ts for ts in t_s])  # None: guided, as if t_s = t
+    conditional = t < switch
+    if conditional.any():
+        exact = switch == math.inf
+        seed = np.where(conditional & ~exact, switch, t)  # t: a cell that is not seeded
+        start = (seed, *moments(sigma2, sigma2 + 1.0, sched, seed))
+        seeded_mean, seeded_var = propagate(sigma2, sigma2 + 1.0, 0.0, t, start)
+        mean = np.where(conditional, np.where(exact, 1.0, seeded_mean), mean)
+        var = np.where(conditional, np.where(exact, sigma2 + t, seeded_var), var)
+    return GuidedMoments(t, mean, var, [CONDITIONAL if c else GUIDED for c in conditional])
 
 
 def assemble_trajectory(
@@ -261,17 +303,38 @@ def assemble_trajectory(
     """Piecewise trajectory: guided from the infinite horizon down to
     max(0, t_s), then conditional to 0; distortion measured at t = 0.
 
-    A ramp has no switch computed (t_s = None: guided-only).  A t = 0 row of
-    the grid is reused for the report."""
+    A ramp has no switch computed (t_s = None: guided-only) and takes float
+    params.  Under a constant schedule the params may be a batch of cells:
+    one ``speciation_time`` call and one moment evaluation per time serve
+    them all, and the moments and report hold one entry per cell in the
+    batch's flat order; float params are a batch of one, reported as
+    floats.  A t = 0 row of the grid is reused for the report."""
     if any(t < 0 for t in t_grid):
         raise DomainError("t_grid times must be >= 0")
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be sorted ascending")
-    sched, sigma2 = params.schedule, params.sigma2
-    t_s = speciation_time(params) if isinstance(sched, Constant) else None
+    sched = params.schedule
+    if isinstance(sched, Constant):
+        shape, (sigma2, _, w) = _flat(params.sigma2, params.beta, sched.w)
+        sched, t_s = Constant(w), speciation_time(params)
+        t_s = t_s if shape else [t_s]
+    else:
+        shape, sigma2, t_s = (), params.sigma2, [None]
     trajectory = [_moments_at(t, t_s, sigma2, sched) for t in t_grid]
     at_zero = trajectory[0] if t_grid and t_grid[0] == 0.0 else _moments_at(0.0, t_s, sigma2, sched)
-    return trajectory, DistortionReport(*_relative_deltas(at_zero, sigma2), t_s)
+    if not shape:
+        trajectory = [GuidedMoments(m.t, m.mean_coeff.item(), m.variance.item(), m.phase[0])
+                      for m in trajectory]
+    return trajectory, _report(shape, at_zero, sigma2, t_s)
+
+
+def _report(shape: tuple[int, ...], at_zero: GuidedMoments, sigma2: FloatOrArray,
+            t_s: list[SwitchTime]) -> DistortionReport:
+    """The report of a batch from its moments at t = 0; floats for shape ()."""
+    delta_mu, delta_sigma2 = _relative_deltas(at_zero, sigma2)
+    if shape:
+        return DistortionReport(delta_mu, delta_sigma2, t_s)
+    return DistortionReport(delta_mu.item(), delta_sigma2.item(), t_s[0])
 
 
 def _relative_deltas(m: GuidedMoments, sigma2: float) -> tuple[float, float]:

@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .special_math import _check_each
 
 
 @dataclass(frozen=True)
 class Constant:
-    """Fixed guidance level.  w > -1/2 so the horizon -> inf variance converges."""
+    """Fixed guidance level.  w > -1/2 so the horizon -> inf variance converges.
 
-    w: float
+    w may be an array: a batch of levels, which the constant-guidance
+    moments and switch times evaluate in one call; the rule holds in every
+    cell.
+    """
+
+    w: Union[float, np.ndarray]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.w) or self.w <= -0.5:
-            raise DomainError(f"constant schedule requires w > -1/2, got {self.w}")
+        _check_each(np.isfinite(self.w) & (np.asarray(self.w) > -0.5),
+                    lambda w: f"constant schedule requires w > -1/2, got {w}", self.w)
 
 
 @dataclass(frozen=True)
@@ -38,16 +42,11 @@ class Linear:
 
     def __post_init__(self) -> None:
         for name, least in (("w0", -1.0), ("omega", 0.0)):
-            value = np.asarray(getattr(self, name), dtype=float)
-            bad = ~(np.isfinite(value) & (value >= least))
-            if bad.any():
-                got = getattr(self, name) if value.ndim == 0 else value.flat[np.argmax(bad)]
-                raise DomainError(f"linear schedule requires {name} >= {least:g}, got {got}")
-        w0, omega = np.broadcast_arrays(self.w0, self.omega)
-        flat = (omega == 0.0) & (w0 <= -0.5)
-        if flat.any():
-            raise DomainError("linear schedule with omega = 0 requires w0 > -1/2, "
-                              f"got w0 = {w0.flat[np.argmax(flat)]}")
+            value = getattr(self, name)
+            _check_each(np.isfinite(value) & (np.asarray(value) >= least),
+                        lambda got: f"linear schedule requires {name} >= {least:g}, got {got}", value)
+        _check_each(~((np.asarray(self.omega) == 0.0) & (np.asarray(self.w0) <= -0.5)),
+                    lambda w0: f"linear schedule with omega = 0 requires w0 > -1/2, got w0 = {w0}", self.w0)
 
 
 GuidanceSchedule = Union[Constant, Linear]

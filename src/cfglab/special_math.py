@@ -10,20 +10,22 @@ Self-contained implementations (no external special-function dependency) of
   on floats or broadcast arrays, checked once and integrated in one
   quadrature batch, including exponents a <= 0 (only with f1 > 0) and
   endpoint regularisation by change of variable when 0 < a < 1 or 0 < b < 1,
-* Brent's method on a sign-changing bracket, one Python float call per
-  step: the polish of the one scan cell in which the phase-switch scan
-  (``mixture_theory``) brackets the largest root.
+* Brent's method on a batch of sign-changing brackets in lock step: each
+  bracket keeps its own state and stopping test, and one round calls the
+  function once on the brackets still going.  It polishes the scan cells in
+  which the phase-switch scan (``mixture_theory``) brackets the largest
+  roots of a batch of sweep cells.
 
-A float argument is a batch of one: there is one quadrature path.  An
-integral gets the same bits alone as in any batch, because every array
-operation on it is elementwise or a reduction along its own row.
+A float argument is a batch of one: there is one quadrature path and one
+root finder.  An integral or a root gets the same bits alone as in any
+batch, because every array operation on it is elementwise or a reduction
+along its own row.
 
 All functions are pure; the module holds no mutable state.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Union
 
 import numpy as np
@@ -57,6 +59,18 @@ def _flat(*values: FloatOrArray) -> tuple[tuple[int, ...], list[np.ndarray]]:
             x = np.full(shape, x) if x.ndim == 0 else np.broadcast_to(x, shape)
         flat.append(x.ravel())
     return shape, flat
+
+
+def _check_each(ok: Union[bool, np.ndarray], message: Callable[..., str], *values: FloatOrArray) -> None:
+    """DomainError unless ok holds in every element (a nan fails every
+    comparison, so it fails ok); the error is message(*values) at the first
+    element where ok fails, each value broadcast to ok's shape, so a float
+    is named as it is."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    i = int(np.argmin(ok.ravel()))
+    raise DomainError(message(*(np.broadcast_to(v, ok.shape).flat[i] for v in values)))
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the Gauss nodes
@@ -111,9 +125,7 @@ def adaptive_quad(integrand: Integrand, lo: FloatOrArray, hi: FloatOrArray) -> F
     leaves the error budget.
     """
     shape, (lo, hi) = _flat(lo, hi)
-    if np.count_nonzero(lo <= hi) < lo.size:
-        i = int(np.argmin(lo <= hi))
-        raise DomainError(f"need lo <= hi, got [{lo[i]}, {hi[i]}]")
+    _check_each(lo <= hi, lambda a, b: f"need lo <= hi, got [{a}, {b}]", lo, hi)
     result = np.zeros(lo.size)
     live = np.flatnonzero(lo < hi)  # the unfinished integrals
     val, err = _gk15(integrand, lo[live], hi[live], live)
@@ -194,10 +206,8 @@ def incomplete_beta_definite(a: FloatOrArray, b: FloatOrArray, f1: FloatOrArray,
     integrands are bounded.
     """
     shape, (a, b, f1, f2) = _flat(a, b, f1, f2)
-    in_range = (0.0 <= f1) & (f1 <= f2) & (f2 <= 1.0)
-    if np.count_nonzero(in_range) < in_range.size:
-        i = int(np.argmin(in_range))
-        raise DomainError(f"need 0 <= f1 <= f2 <= 1, got f1={f1[i]}, f2={f2[i]}")
+    _check_each((0.0 <= f1) & (f1 <= f2) & (f2 <= 1.0),
+                lambda x1, x2: f"need 0 <= f1 <= f2 <= 1, got f1={x1}, f2={x2}", f1, f2)
     if np.count_nonzero((f1 == 0.0) & (a <= 0.0)):
         raise DomainError("a <= 0 requires a strictly positive lower limit f1")
     if np.count_nonzero((f2 == 1.0) & (b <= 0.0)):
@@ -222,62 +232,76 @@ def incomplete_beta_definite(a: FloatOrArray, b: FloatOrArray, f1: FloatOrArray,
 _EPS = np.finfo(float).eps
 
 
-def bisection_root(g: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """A root of g on the sign-changing bracket [lo, hi], to within tol.
+# g(y, k): values at the points y of a batch of brackets, a flat array, where
+# k is the flat array of the indices in the batch of the brackets they belong to.
+BracketFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    g takes one Python float and returns its value there.  Brent's method
-    (Brent (1973), "Algorithms for Minimization without Derivatives", ch. 4):
-    b is the best point so far and c the other end of the bracket.  Inverse
-    quadratic and secant steps converge superlinearly near a simple root; a
-    step that would not shrink the bracket fast enough bisects instead, which
-    bounds the calls by about k^2 for the k steps plain bisection would take.
-    Returns b once |c - b| <= tol + 4 eps |b| (the slack is float
-    resolution); a point where g is exactly zero is returned as it is.  With
-    several roots in the bracket, which one is found is unspecified: the
-    caller's scan chooses the bracket.
+
+def bisection_root(g: BracketFunction, lo: FloatOrArray, hi: FloatOrArray, tol: float) -> FloatOrArray:
+    """A root of g on each sign-changing bracket [lo, hi], to within tol.
+
+    lo and hi broadcast to the batch's shape, which the result takes (a float
+    for two floats: a batch of one).  ``g(y, k)`` gets the points y of the
+    brackets still going as a flat array and the flat indices k of their
+    brackets in the batch, and returns g there; the first call holds both end
+    points of every bracket.  Brent's method (Brent (1973), "Algorithms for
+    Minimization without Derivatives", ch. 4) runs on every bracket in lock
+    step, one call of g per round: b is a bracket's best point so far and c
+    the other end of it.  Inverse quadratic and secant steps converge
+    superlinearly near a simple root; a step that would not shrink the
+    bracket fast enough bisects instead, which bounds the rounds by about k^2
+    for the k steps plain bisection would take.  A bracket stops at b once
+    |c - b| <= tol + 4 eps |b| (the slack is float resolution); an end or a
+    point where g is exactly zero is returned as it is.  DomainError names
+    the first bracket with lo >= hi or no sign change.  With several roots
+    in a bracket, which one is found is unspecified: the caller's scan
+    chooses the bracket.
     """
-    if not (lo < hi):
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+    shape, (lo, hi) = _flat(lo, hi)
+    _check_each(lo < hi, lambda a, b: f"need lo < hi, got [{a}, {b}]", lo, hi)
     if tol <= 0:
         raise DomainError("tol must be positive")
-    a, b = lo, hi
-    fa, fb = float(g(a)), float(g(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise DomainError(f"no sign change on [{lo}, {hi}]: g={fa:.3e}, {fb:.3e}")
+    n = lo.size
+    ends = g(np.concatenate([lo, hi]), np.concatenate([np.arange(n)] * 2))
+    fa, fb = ends[:n], ends[n:]
+    root = np.where(fa == 0.0, lo, hi)  # exact zeros at an end, the lower end first
+    going = (fa != 0.0) & (fb != 0.0)
+    _check_each(~going | ((fa > 0) != (fb > 0)),
+                lambda a, b, ga, gb: f"no sign change on [{a}, {b}]: g={ga:.3e}, {gb:.3e}", lo, hi, fa, fb)
+    k = np.flatnonzero(going)
+    a, b, fa, fb = lo[k], hi[k], fa[k], fb[k]
     c, fc = a, fa
     d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+    while k.size:
+        swap = np.abs(fc) < np.abs(fb)
+        a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+        fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+        tol1 = 2.0 * _EPS * np.abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
+        done = (np.abs(xm) <= tol1) | (fb == 0.0)
+        if done.any():
+            root[k[done]] = b[done]
+            going = ~done
+            k, a, b, c, fa, fb, fc, d, e, tol1, xm = (
+                x[going] for x in (k, a, b, c, fa, fb, fc, d, e, tol1, xm))
+            if not k.size:
+                break
+        # Every step is computed in every bracket and kept only where Brent
+        # takes it, so a division by zero where it is not taken is harmless.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s, q, r = fb / fa, fa / fc, fb / fc
+            secant = a == c
+            p = np.where(secant, 2.0 * xm * s, s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0)))
+            q = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            q = np.where(p > 0.0, -q, q)
+            p = np.abs(p)
+            step = ((np.abs(e) >= tol1) & (np.abs(fa) > np.abs(fb))
+                    & (2.0 * p < np.minimum(3.0 * xm * q - np.abs(tol1 * q), np.abs(e * q))))
+            e, d = np.where(step, d, xm), np.where(step, p / q, xm)
         a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = float(g(b))
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
+        b = b + np.where(np.abs(d) > tol1, d, np.copysign(tol1, xm))
+        fb = g(b, k)
+        flip = (fb > 0.0) == (fc > 0.0)
+        c, fc = np.where(flip, a, c), np.where(flip, fa, fc)
+        d, e = np.where(flip, b - a, d), np.where(flip, b - a, e)
+    return float(root[0]) if shape == () else root.reshape(shape)

@@ -413,13 +413,20 @@ class TestExitCodes:
              "axis w: need lo < hi"),
             (["sweep", "beta-w", "--sigma2", "0.5", "--beta-scale", "log", "--beta-min", "0"],
              "axis beta: log scale requires lo > 0"),
+            (["sweep", "beta-w", "--sigma2", "0.5", "--beta-max", "inf", "--beta-points", "3",
+              "--w-points", "2"], "axis beta: need finite lo, hi and hi - lo, got [0.01, inf]"),
+            (["sweep", "sigma-w", "--beta", "0.1", "--sigma2-max", "inf", "--sigma2-points", "3",
+              "--w-points", "2"], "axis sigma2: need finite lo, hi and hi - lo, got [0.1, inf]"),
+            (["sweep", "schedule", "--sigma2", "0.75", "--w0-min=-1e308", "--w0-max", "1e308",
+              "--w0-points", "3", "--omega-points", "2"],
+             "axis w0: need finite lo, hi and hi - lo, got [-1e+308, 1e+308]"),
             (["theory", "mixture", "--sigma2", "0.5", "--beta", "0.5", "--w", "1", "--t", "-1"],
              "t_grid times must be >= 0"),
             (["simulate", "mixture", "--d", "3", "--beta", "0.3", "--sigma2", "0.5", "--w", "1",
               "--n", "1"], "n_samples must be >= 2"),
         ],
-        ids=["axis_one_point", "axis_reversed", "log_axis_from_zero", "negative_time",
-             "one_sample"],
+        ids=["axis_one_point", "axis_reversed", "log_axis_from_zero", "axis_to_inf",
+             "axis_to_inf_sigma2", "axis_range_overflows", "negative_time", "one_sample"],
     )
     def test_input_check_is_two(self, tmp_path, capsys, argv, message):
         rc = main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"])

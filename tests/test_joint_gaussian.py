@@ -186,6 +186,26 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(s, r, w, t, start)
 
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_batch_cells_equal_their_batches_of_one(self, seeded):
+        # s, r, w and the seed vary by cell, one cell at s = r; a cell gets
+        # the same bits alone, and its float call's value to rounding
+        s = np.array([0.5, 1.0, 0.05, 2.0])
+        r = np.array([1.5, 1.0, 1.05, 3.0])
+        w = np.array([1.0, 2.5, -0.4, 0.0])
+        t = 0.3
+        start = (np.array([2.0, 0.5, 40.0, 7.0]), np.array([1.5, 2.0, 0.9, 1.0]),
+                 np.array([2.0, 1.6, 30.0, 9.0])) if seeded else None
+        batch = propagate(s, r, w, t, start)
+        for i in range(s.size):
+            cell = [x[i:i + 1] for x in (s, r, w)]
+            one = propagate(*cell, t, None if start is None else tuple(x[i:i + 1] for x in start))
+            floats = propagate(*(float(x[0]) for x in cell), t,
+                               None if start is None else tuple(float(x[i]) for x in start))
+            for got, alone, scalar in zip(batch, one, floats):
+                assert got[i] == alone[0]
+                assert got[i] == pytest.approx(scalar, rel=1e-14, abs=0.0)
+
 
 class TestMoments:
     """``moments`` is the one dispatch on the schedule kind."""

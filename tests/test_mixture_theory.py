@@ -139,14 +139,17 @@ class TestSpeciationTime:
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
     def test_switch_exactly_on_the_scan_grid(self):
-        # exp(log(t)) rounds away from t at the first and last of these points
-        for k in (1, 200, 398):
-            assert _switch_root(lambda t: t - _SCAN_GRID[k]) == _SCAN_GRID[k]
+        # exp(log(t)) rounds away from t at the first and last of these
+        # points; a batch of three cells, one switch on each
+        hits = np.array([1, 200, 398])
+        assert _switch_root(lambda t, k: t - _SCAN_GRID[hits[k]], 3) == _SCAN_GRID[hits].tolist()
 
     def test_scan_keeps_the_largest_of_roots_in_different_cells(self):
-        # f > 0 below 1 and above 10: the scan's last nonpositive point lies
-        # just below 10, so the polish sees only the root at 10.
-        assert _switch_root(lambda t: (t - 1.0) * (t - 10.0)) == pytest.approx(10.0, rel=1e-12)
+        # f > 0 below 1 and above 10 (100 in the second cell): each cell's
+        # last nonpositive scan point lies just below its larger root, so the
+        # polish sees only that one.
+        t_s = _switch_root(lambda t, k: (t - 1.0) * (t - 10.0 ** (k + 1)), 2)
+        assert t_s == [pytest.approx(10.0, rel=1e-12), pytest.approx(100.0, rel=1e-12)]
 
     def test_requires_constant_schedule(self):
         with pytest.raises(DomainError):
@@ -250,6 +253,15 @@ def test_sample_path_switch_matches_scalar_scan_and_bisection(w):
     assert sample_path_report(0.5, 0.5, w).t_speciation == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_sample_path_report_of_a_batch_is_its_cells_reports():
+    w = np.array([0.0, 0.5, 1.0])
+    batch = sample_path_report(0.5, 0.5, w)
+    assert batch.t_speciation == [sample_path_report(0.5, 0.5, x).t_speciation for x in w]
+    for i, x in enumerate(w):
+        alone = sample_path_report(0.5, 0.5, x)
+        assert (batch.delta_mu[i], batch.delta_sigma2[i]) == (alone.delta_mu, alone.delta_sigma2)
+
+
 @pytest.mark.parametrize("sigma2,beta", [(0.5, 0.5), (0.2, 0.7), (1.0, 0.3)])
 def test_sample_path_report_unguided_is_collapse_time(sigma2, beta):
     # At w = 0 a sample sits at q1 = g, q2 = g + 1, so beta + zeta = 0 is the
@@ -285,6 +297,26 @@ def test_sigma2_must_be_positive_and_below_2_53(sigma2):
     with pytest.raises(DomainError, match="sigma2 must be positive and below 2"):
         MixtureTheoryParams(sigma2, 0.5, Constant(1.0))
     MixtureTheoryParams(2.0**53 - 1.0, 0.5, Constant(1.0))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: Constant(np.array([0.5, -0.7, -0.9])), "constant schedule requires w > -1/2, got -0.7"),
+        (lambda: MixtureTheoryParams(np.array([0.5, 0.0, 1e300]), 0.5, Constant(1.0)),
+         r"sigma2 must be positive and below 2\*\*53, got 0.0"),
+        (lambda: MixtureTheoryParams(0.5, np.array([0.1, np.nan, -1.0]), Constant(1.0)),
+         "beta must be >= 0, got nan"),
+        (lambda: propagate(0.5, 1.5, np.array([1.0, -0.6, -0.7]), 0.0),
+         "constant guidance requires w > -1/2, got -0.6"),
+        (lambda: propagate(np.array([0.5, 0.7]), np.array([1.5, 0.6]), 1.0, 0.0),
+         "need 0 < s <= r < inf, got s=0.7, r=0.6"),
+    ],
+    ids=["constant_w", "sigma2", "beta", "propagate_w", "propagate_pair"],
+)
+def test_a_batch_names_its_first_bad_cell(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()
 
 
 class TestGuidedPhaseMoments:
@@ -531,8 +563,10 @@ class TestLinearScheduleMoments:
             assert got == pytest.approx(ref, abs=1e-3)
 
     def test_omega_zero_delegates_to_constant(self):
+        # the flat cells of a ramp batch take the constant closed form as one batch
         got = self._moments(0.3, 0.5, Linear(0.4, 0.0))
-        assert (got.mean_coeff, got.variance) == propagate(0.5, 1.5, 0.4, 0.3)
+        mean, var = propagate(0.5, 1.5, np.array([0.4]), 0.3)
+        assert (got.mean_coeff, got.variance) == (mean[0], var[0])
 
     def test_phase_diagram_cell_signs(self):
         # w0 = -0.5, omega = 2 at sigma2 = 0.75: expanded mean, shrunk variance

@@ -191,21 +191,21 @@ class TestIncompleteBeta:
 
 class TestBisectionRoot:
     def test_linear_root(self):
-        assert bisection_root(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(1.0)
+        assert bisection_root(lambda x, k: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(1.0)
 
     def test_sqrt_two(self):
-        root = bisection_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-10)
+        root = bisection_root(lambda x, k: x * x - 2.0, 0.0, 2.0, 1e-10)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_no_sign_change(self):
         with pytest.raises(DomainError, match="no sign change"):
-            bisection_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
+            bisection_root(lambda x, k: x * x + 1.0, -1.0, 1.0, 1e-8)
 
     def test_endpoint_root(self):
-        assert bisection_root(lambda x: x, 0.0, 1.0, 1e-8) == 0.0
+        assert bisection_root(lambda x, k: x, 0.0, 1.0, 1e-8) == 0.0
 
     def test_upper_endpoint_root(self):
-        assert bisection_root(lambda x: x - 2.0, 0.0, 2.0, 1e-12) == 2.0
+        assert bisection_root(lambda x, k: x - 2.0, 0.0, 2.0, 1e-12) == 2.0
 
     def test_one_scan_cell_in_log_t_to_the_switch_tolerance(self):
         # The switch-time bracket: one cell of the 400-point log grid on
@@ -213,53 +213,80 @@ class TestBisectionRoot:
         lo = math.log(1.5)
         hi = lo + math.log(1e14) / 399
         root = lo + 0.3 * (hi - lo)
-        g = lambda y: np.expm1(y - root) * (1.0 + np.exp(y))
+        g = lambda y, k: np.expm1(y - root) * (1.0 + np.exp(y))
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
 
     @staticmethod
-    def _recording_switch_g(root, calls):
-        """expm1(y - root) that records each call, on floats only."""
+    def _recording(shape, calls):
+        """g(y, k) = shape(y) on a batch, recording each call's points."""
 
-        def g(y):
-            assert isinstance(y, float), type(y)
+        def g(y, k):
+            assert isinstance(y, np.ndarray) and y.ndim == 1 and y.shape == k.shape, (y, k)
             calls.append(y)
-            return math.expm1(y - root)
+            return shape(y)
 
         return g
 
-    def test_switch_bracket_takes_few_float_calls(self):
-        # The switch bracket (0.0808 wide, tol 1e-13): Brent's method on
-        # floats, the two end values included.
+    def test_switch_bracket_takes_few_rounds(self):
+        # The switch bracket (0.0808 wide, tol 1e-13): Brent's method in at
+        # most 8 calls of g, the one with the two end values included.
         lo = math.log(1.5)
         hi = lo + math.log(1e14) / 399
         root = lo + 0.3 * (hi - lo)
         calls = []
-        g = self._recording_switch_g(root, calls)
+        g = self._recording(lambda y: np.expm1(y - root), calls)
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
         assert len(calls) <= 8
 
     def test_bracket_within_tol_returns_a_point_within_tol(self):
         root = 0.7
-        g = self._recording_switch_g(root, [])
+        g = self._recording(lambda y: np.expm1(y - root), [])
         assert abs(bisection_root(g, root - 1e-14, root + 1e-14, 1e-13) - root) <= 1e-13
 
     @pytest.mark.parametrize(
-        "shape", [lambda u: math.copysign(1.0, u), lambda u: u**9], ids=["step", "ninth_power"]
+        "shape", [lambda u: np.copysign(1.0, u), lambda u: u**9], ids=["step", "ninth_power"]
     )
     def test_reaches_tol_where_interpolation_fails(self, shape):
         # No slope to interpolate (a step) or a root of order nine: Brent's
         # bisection fallback still closes the switch bracket to 1e-13, in at
-        # most three times the 40 calls plain bisection would make, plus the
+        # most three times the 40 rounds plain bisection would make, plus the
         # two end values.
         lo = math.log(1.5)
         hi = lo + math.log(1e14) / 399
         root = lo + 0.3 * (hi - lo)
         calls = []
-
-        def g(y):
-            assert isinstance(y, float), type(y)
-            calls.append(y)
-            return shape(y - root)
-
+        g = self._recording(lambda y: shape(y - root), calls)
         assert abs(bisection_root(g, lo, hi, 1e-13) - root) <= 1e-13
         assert len(calls) <= 2 + 3 * 40
+
+    def test_each_bracket_of_a_batch_gets_its_own_root(self):
+        # An end-value root, an exact zero met on the way (the first bisection
+        # of [0, 2] lands on 1) and two interior roots, in one batch: each
+        # bracket returns what it returns alone, in lock step with the others.
+        shapes = [lambda y: y - 2.0, lambda y: y - 1.0, lambda y: y * y - 2.0,
+                  lambda y: np.expm1(y - 0.3)]
+        lo, hi = np.zeros(4), np.array([2.0, 2.0, 2.0, 1.0])
+        calls = []
+
+        def g(y, k):
+            calls.append(k.copy())
+            return np.choose(k, [shape(y) for shape in shapes])
+
+        roots = bisection_root(g, lo, hi, 1e-13)
+        assert roots.shape == (4,)
+        assert roots[0] == 2.0 and roots[1] == 1.0
+        assert abs(roots[2] - math.sqrt(2.0)) <= 1e-13 and abs(roots[3] - 0.3) <= 1e-13
+        for i, shape in enumerate(shapes):
+            alone = bisection_root(lambda y, k: shape(y), float(lo[i]), float(hi[i]), 1e-13)
+            assert isinstance(alone, float) and alone == roots[i]
+        # The end values of all four come in one call; the end-value root
+        # never enters a round, and a bracket leaves once it is done.
+        assert calls[0].tolist() == [0, 1, 2, 3] * 2
+        assert all(0 not in k for k in calls[1:])
+        assert [len(k) for k in calls[1:]] == sorted((len(k) for k in calls[1:]), reverse=True)
+
+    def test_names_the_first_bad_bracket(self):
+        with pytest.raises(DomainError, match=r"need lo < hi, got \[3.0, 2.0\]"):
+            bisection_root(lambda y, k: y, np.array([0.0, 3.0]), np.array([1.0, 2.0]), 1e-8)
+        with pytest.raises(DomainError, match=r"no sign change on \[2.0, 3.0\]"):
+            bisection_root(lambda y, k: y - 0.5, np.array([0.0, 2.0]), np.array([1.0, 3.0]), 1e-8)

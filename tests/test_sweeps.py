@@ -1,5 +1,7 @@
 """Grid sweeps: cell consistency, region taxonomy, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,53 @@ class TestSigmaWSweep:
         rows = sweep_sigma_w(0.1, *axes)
         assert [r.region_label == "failed" for r in rows] == [r.axis1_value >= 2.0**53 for r in rows]
         assert rows[-1].error == "sigma2 must be positive and below 2**53, got 1e+300"
+
+
+class TestConstantGuidanceSlices:
+    """The constant-guidance sweeps evaluate a slice of cells in one
+    ``assemble_trajectory`` call, and a cell gets the same bits there as
+    evaluated alone."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=sweeps.assemble_trajectory):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(sweeps, "assemble_trajectory", counted)
+        return calls
+
+    def test_slice_cells_equal_their_batches_of_one(self, monkeypatch):
+        # beta = 0 is always conditional (math.inf), beta = 1.2 at w = 1 never
+        # switches (None), the other cells switch at a finite time.
+        calls = self._count_calls(monkeypatch)
+        rows = sweep_beta_w(0.5, AxisSpec("beta", 0.0, 1.2, 2), AxisSpec("w", 0.0, 1.0, 3))
+        assert len(calls) == 1
+        assert {type(r.t_speciation) for r in rows} == {float, type(None)}
+        assert rows[0].t_speciation == math.inf and rows[-1].t_speciation is None
+        for row in rows:
+            _, alone = assemble_trajectory(
+                MixtureTheoryParams(0.5, row.axis1_value, Constant(row.axis2_value)), [0.0])
+            assert isinstance(alone.delta_mu, float)
+            assert row.t_speciation == alone.t_speciation
+            assert (row.delta_mu, row.delta_sigma2) == (alone.delta_mu, alone.delta_sigma2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_slice_crossing_2_53_fails_only_there(self, monkeypatch):
+        # sigma2 = 0.5, 2**53 and 2**54: the slice fails as a whole.
+        w_axis = AxisSpec("w", 0.0, 1.0, 3)
+        calls = self._count_calls(monkeypatch)
+        clean = sweep_sigma_w(0.1, AxisSpec("sigma2", 0.5, 0.7, 2), w_axis)
+        assert len(calls) == 1
+        crossing = sweep_sigma_w(0.1, AxisSpec("sigma2", 0.5, 2.0**54, 3), w_axis)
+        # the failed slice is evaluated again in halves: the three good cells
+        # in two calls, cells 0-1 and cell 2
+        assert len(calls) == 1 + 2
+        assert crossing[:3] == clean[:3]
+        assert [r.region_label for r in crossing[3:]] == ["failed"] * 6
+        assert crossing[3].error == "sigma2 must be positive and below 2**53, got 9007199254740992.0"
 
 
 class TestScheduleSweep:

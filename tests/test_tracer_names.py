@@ -74,13 +74,14 @@ def test_wrapped_names_are_still_called(tmp_path):
     # zero; run the four sweeps at 2x2 points under the tracer and count spans.
     calls = _traced_calls(tmp_path, list(_SWEEP_ARGV))
     expected = {
-        # A ramp sweep evaluates a 2x2 grid as one slice: lambda and Lambda once each.
+        # Every sweep evaluates a 2x2 grid as one slice: lambda and Lambda once
+        # each for a ramp sweep, and one trajectory, one switch scan and one
+        # root polish for a constant-guidance sweep.
         "joint_gaussian.coeff_linear": 4,
         "mixture_theory.delta_linear": 1,
-        "mixture_theory.assemble": 8,
-        "mixture_theory.speciation": 8,
-        # one root polish per switch: 8 constant cells, one of them a sentinel
-        "special_math.bisection": 7,
+        "mixture_theory.assemble": 2,
+        "mixture_theory.speciation": 2,
+        "special_math.bisection": 2,
         **{name: 1 for name in tracing.SWEEP_SPANS},
     }
     assert {name: calls(name) for name in expected} == expected
