@@ -88,13 +88,12 @@ def criterion_1_zero_guidance() -> tuple[bool, str]:
         worst = max(worst, abs(dm), abs(dv))
     if worst >= 1e-9:
         return False, f"mixture w=0 distortion reached {worst:.3e} (>= 1e-9)"
-    worst_j = 0.0
-    for seed in range(5):
-        model = random_model(7, seed)
-        for t in (0.0, 0.3, 2.0):
-            for s, r in zip(model.s, model.r):
-                mean_coeff, variance = propagate(s, r, 0.0, t)
-                worst_j = max(worst_j, abs(mean_coeff - 1.0), abs(variance / (s + t) - 1.0))
+    models = [random_model(7, seed) for seed in range(5)]
+    s = np.concatenate([m.s for m in models])[:, None]
+    r = np.concatenate([m.r for m in models])[:, None]
+    t = np.array([0.0, 0.3, 2.0])
+    mean_coeff, variance = propagate(s, r, 0.0, t)
+    worst_j = float(max(np.max(np.abs(mean_coeff - 1.0)), np.max(np.abs(variance / (s + t) - 1.0))))
     if worst_j > 1e-12:
         return False, f"joint w=0 coefficients off by {worst_j:.3e} (> 1e-12)"
     return True, f"max |delta| {worst:.1e}, max |coeff-1| {worst_j:.1e}"
@@ -111,11 +110,8 @@ def criterion_2_expansion_contraction() -> tuple[bool, str]:
     s[::97] = r[::97]  # exercise the degenerate branch too
     w = rng.uniform(0.0, 10.0, n)
     t = rng.uniform(0.0, 10.0, n)
-    min_lam, max_big = math.inf, -math.inf
-    for k in range(n):
-        mean_coeff, variance = propagate(s[k], r[k], w[k], t[k])
-        min_lam = min(min_lam, mean_coeff)
-        max_big = max(max_big, variance / (s[k] + t[k]))
+    mean_coeff, variance = propagate(s, r, w, t)
+    min_lam, max_big = np.min(mean_coeff), np.max(variance / (s + t))
     ok = min_lam >= 1.0 - 1e-12 and max_big <= 1.0 + 1e-12
     return ok, f"min lambda {min_lam:.15f}, max Lambda {max_big:.15f}"
 
@@ -144,17 +140,15 @@ def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
     """
     sigma2, beta, seed, n = 0.5, 0.5, 7, 5000
     ws, ds = (0.0, 0.5, 1.0), (10, 15, 20)
-    refs = {}  # w -> (sample-path, mean-path) (delta_mu, delta_sigma2)
-    for w in ws:
-        _, mean_path = assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(w)), [0.0])
-        sample_path = sample_path_report(sigma2, beta, w)
-        refs[w] = [(r.delta_mu, r.delta_sigma2) for r in (sample_path, mean_path)]
+    # (sample-path, mean-path) reports, one cell per w
+    reports = (sample_path_report(sigma2, beta, np.array(ws)),
+               assemble_trajectory(MixtureTheoryParams(sigma2, beta, Constant(np.array(ws))), [0.0])[1])
     # (d, w) -> (gaps to the sample-path reference, their standard errors)
     gaps: dict[tuple[int, float], tuple[tuple[float, float], tuple[float, float]]] = {}
     tol_ok = True
     lines = []
     for d in ds:
-        for w in ws:
+        for i, w in enumerate(ws):
             steps = 1000 if w == 0.0 else 200
             row = _columns(_simulate([
                 "--seed", str(seed), "simulate", "mixture", "--d", str(d), "--beta", str(beta),
@@ -163,7 +157,7 @@ def criterion_3_mixture_vs_sim() -> tuple[bool, str]:
             ]))
             est = (row["delta_mu_hat"][0], row["delta_sigma2_hat"][0])
             se = (row["delta_mu_se"][0], row["delta_sigma2_se"][0])
-            sample_ref, mean_ref = refs[w]
+            sample_ref, mean_ref = ((r.delta_mu[i], r.delta_sigma2[i]) for r in reports)
             gap = (abs(est[0] - sample_ref[0]), abs(est[1] - sample_ref[1]))
             gaps[(d, w)] = (gap, se)
             parts = []
@@ -233,13 +227,12 @@ def criterion_5_speciation_asymptote() -> tuple[bool, str]:
 
     sigma2 = 0.5, beta = 1e-3, w in {0, 1, 3}: t_s * beta / (1+w) in
     [0.95, 1.05]."""
-    ratios = []
-    for w in (0.0, 1.0, 3.0):
-        t_s = speciation_time(MixtureTheoryParams(0.5, 1e-3, Constant(w)))
-        if t_s is None or math.isinf(t_s):
-            return False, f"no finite switch time at w={w}"
-        ratios.append(t_s * 1e-3 / (1.0 + w))
-    ok = all(0.95 <= r <= 1.05 for r in ratios)
+    w = np.array([0.0, 1.0, 3.0])
+    t_s = np.array(speciation_time(MixtureTheoryParams(0.5, 1e-3, Constant(w))), dtype=float)  # None: nan
+    if not np.all(np.isfinite(t_s)):
+        return False, f"no finite switch time at w={w[np.argmin(np.isfinite(t_s))]}"
+    ratios = t_s * 1e-3 / (1.0 + w)
+    ok = bool(np.all((0.95 <= ratios) & (ratios <= 1.05)))
     return ok, f"ratios {[f'{r:.4f}' for r in ratios]}"
 
 
@@ -249,10 +242,9 @@ def criterion_6_sanity_schedule() -> tuple[bool, str]:
     delta_mu(0) = sigma2 and delta_sigma2(0) = (1 - 2*sigma2)/3 to 1e-6 for
     sigma2 in {0.1, 0.25, 0.4, 0.5}; closed-form switch time 0.331977 +- 1e-6
     at (beta=1, sigma2=0.25) and math.inf (always conditional) at beta = 0.5."""
-    worst = 0.0
-    for sigma2 in (0.1, 0.25, 0.4, 0.5):
-        dm, dv = delta_estimators_linear(0.0, sigma2, Linear(sigma2 - 1.0, 1.0))
-        worst = max(worst, abs(dm - sigma2), abs(dv - (1.0 - 2.0 * sigma2) / 3.0))
+    sigma2 = np.array([0.1, 0.25, 0.4, 0.5])
+    dm, dv = delta_estimators_linear(0.0, sigma2, Linear(sigma2 - 1.0, 1.0))
+    worst = float(max(np.max(np.abs(dm - sigma2)), np.max(np.abs(dv - (1.0 - 2.0 * sigma2) / 3.0))))
     if worst >= 1e-6:
         return False, f"ramp benchmark off by {worst:.2e} (>= 1e-6)"
     t_s = sanity_schedule_speciation(0.25, 1.0)
@@ -488,5 +480,5 @@ def run_criteria(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
         except Exception as exc:  # a crashed criterion is a failed criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         runtime = time.perf_counter() - started
-        results.append(CriterionResult(number, name, passed, detail, runtime, budget))
+        results.append(CriterionResult(number, name, bool(passed), detail, runtime, budget))
     return results

@@ -286,12 +286,10 @@ def _cmd_theory_mixture(ns: argparse.Namespace, out: str) -> _Table:
 
 
 def _cmd_theory_joint(ns: argparse.Namespace, out: str) -> _Table:
-    sched = _schedule_from(ns)
-    rows: list[list[object]] = []
-    for t in sorted(_parse_times(ns.t)):
-        mean_coeff, variance = moments(ns.s, ns.r, sched, t)
-        rows.append([t, mean_coeff, variance, mean_coeff - 1.0, variance / (ns.s + t) - 1.0, ""])
-    return _THEORY_HEADER, rows, [], {}
+    t = np.array(sorted(_parse_times(ns.t)))
+    mean_coeff, variance = moments(ns.s, ns.r, _schedule_from(ns), t)
+    columns = (t, mean_coeff, variance, mean_coeff - 1.0, variance / (ns.s + t) - 1.0)
+    return _THEORY_HEADER, [[*row, ""] for row in zip(*(c.tolist() for c in columns))], [], {}
 
 
 def _cmd_simulate_mixture(ns: argparse.Namespace, out: str) -> _Table:

@@ -58,7 +58,7 @@ class JointGaussianModel:
             raise DomainError("r, s, mu must be length-d vectors")
         if not (np.max(np.abs(basis.T @ basis - np.eye(d))) <= _ORTHO_TOL):
             raise DomainError("basis columns are not orthonormal to 1e-10")
-        if not (np.all(s > 0) and np.all(s <= r + 1e-15) and np.all(r < np.inf)):
+        if not (np.all(s > 0) and np.all(s <= r * (1.0 + 1e-15)) and np.all(r < np.inf)):
             raise DomainError("need 0 < s_i <= r_i < inf for every eigendirection")
         if not np.all(np.isfinite(mu)):
             raise DomainError("mu must be finite")
@@ -78,21 +78,16 @@ def _check_pair(s: FloatOrArray, r: FloatOrArray) -> None:
 
 
 def _ratio_power_m1(s: FloatOrArray, r: FloatOrArray, k: FloatOrArray, t: FloatOrArray) -> FloatOrArray:
-    """((s+t)/(r+t))^k - 1 through expm1/log1p, so s -> r stays exact; ``math``
-    when every argument is a float (it rounds differently from numpy), numpy
-    when one is an array.  Once s is below the resolution of r + t the ratio
-    rounds to -1, where both take numpy's log1p limit -inf (``math.log1p``
-    raises, numpy warns)."""
-    x = (s - r) / (r + t)
-    if isinstance(x, np.ndarray) or isinstance(k, np.ndarray):
-        with np.errstate(divide="ignore"):
-            return np.expm1(k * np.log1p(x))
-    return math.expm1(k * (math.log1p(x) if x > -1.0 else -math.inf))
+    """((s+t)/(r+t))^k - 1 through expm1/log1p, so s -> r stays exact; one
+    numpy path, so a float call has the bits of the same element of an array.
+    Where s is below the resolution of r + t, log1p(-1) = -inf is the limit."""
+    with np.errstate(divide="ignore"):
+        return np.expm1(k * np.log1p((s - r) / (r + t)))
 
 
 def lambda_formula(s: FloatOrArray, r: FloatOrArray, w: FloatOrArray, t: FloatOrArray) -> FloatOrArray:
     """((s+t)^(w+1)/(r+t)^w - (r+t)) / (s-r) for s != r, unchecked
-    (``propagate`` checks); elementwise over arrays, ``math`` on floats, as
+    (``propagate`` checks); elementwise over arrays, a float for floats, as
     in ``_ratio_power_m1``."""
     return (r + t) * _ratio_power_m1(s, r, w + 1.0, t) / (s - r)
 
@@ -122,15 +117,10 @@ def propagate(
     T = math.inf if start is None else start[0]
     lo, hi = np.min(t), np.max(t)  # a nan t fails
     _check_each((0.0 <= lo) & (t <= T), lambda T: f"need 0 <= t <= T, got t in [{lo}, {hi}], T={T}", T)
-    same = s == r
-    if np.any(same):  # the s = r limit (1+w, s+t), where the closed forms divide 0 by 0
-        apart = np.where(same, s + 1.0, r)
-        mean = np.where(same, 1.0 + w, lambda_formula(s, apart, w, t))
-        var = np.where(same, s + t, (s + t) * Lambda_formula(s, apart, w, t))
-        if mean.ndim == 0:
-            mean, var = float(mean), float(var)
-    else:
-        mean, var = lambda_formula(s, r, w, t), (s + t) * Lambda_formula(s, r, w, t)
+    same = s == r  # the s = r limit (1+w, s+t), where the closed forms divide 0 by 0
+    apart = np.where(same, s + 1.0, r)
+    mean = np.where(same, 1.0 + w, lambda_formula(s, apart, w, t))[()]
+    var = np.where(same, s + t, (s + t) * Lambda_formula(s, apart, w, t))[()]
     if start is None:
         return mean, var
     _, mean_T, var_T = start
@@ -139,35 +129,36 @@ def propagate(
     return mean + decay * (mean_T - free_mean_T), var + decay * decay * (var_T - free_var_T)
 
 
-def _per_ramp(s: float, r: float, sched: Linear, t: float,
-              constant: Callable[[np.ndarray], np.ndarray],
-              ramped: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> FloatOrArray:
-    """A ramp coefficient at every (w0, omega) of sched: constant(w0) on the
-    cells where omega = 0 (``propagate``'s closed form), ramped(w0, omega)
-    on the other cells, each as one batch.  A float for a float schedule.
-    NumericalError names the first ramp whose coefficient overflows."""
+def _per_ramp(s: FloatOrArray, r: FloatOrArray, sched: Linear, t: FloatOrArray,
+              constant: Callable[..., np.ndarray], ramped: Callable[..., np.ndarray]) -> FloatOrArray:
+    """A ramp coefficient of every cell of the batch that s, r, t and the
+    schedule's (w0, omega) broadcast to: constant(s, r, t, w0) on the cells
+    where omega = 0 (``propagate``'s closed form), ramped(s, r, t, w0, omega)
+    on the other cells, each as one batch of flat arrays.  A float for float
+    arguments.  DomainError names the first cell out of the domain, and
+    NumericalError the first ramp whose coefficient overflows."""
     _check_pair(s, r)
-    if not (t >= 0.0):
-        raise DomainError(f"need t >= 0, got t={t}")
-    shape, (w0, omega) = _flat(sched.w0, sched.omega)
+    _check_each(np.asarray(t) >= 0.0, lambda t: f"need t >= 0, got t={t}", t)
+    shape, cells = _flat(s, r, t, sched.w0, sched.omega)
+    w0, omega = cells[3:]
     out = np.empty(w0.size)
     level = omega == 0.0
     if np.count_nonzero(level):
-        out[level] = constant(w0[level])
+        out[level] = constant(*(x[level] for x in cells[:4]))
     if np.count_nonzero(level) < level.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[~level] = ramped(w0[~level], omega[~level])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out[~level] = ramped(*(x[~level] for x in cells))
     finite = np.isfinite(out)
     if np.count_nonzero(finite) < finite.size:
         i = int(np.argmin(finite))
         raise NumericalError(f"non-finite ramp coefficient at (w0, omega) = ({w0[i]}, {omega[i]})")
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return out.reshape(shape)[()]
 
 
-def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrArray:
+def lambda_coeff_linear(s: FloatOrArray, r: FloatOrArray, sched: Linear, t: FloatOrArray) -> FloatOrArray:
     """Mean amplification factor under w(t) = w0 + omega*t, horizon -> inf;
-    w0 and omega may be arrays (one coefficient per ramp, all integrals in
-    one quadrature batch).
+    s, r, t, w0 and omega may be arrays that broadcast together (one
+    coefficient per cell, all integrals in one quadrature batch).
 
     Written as incomplete Beta integrals over u = (s+t')/(r+t'); the two-term
     combination is rearranged so both terms stay O(1) as omega -> 0 (the raw
@@ -184,35 +175,31 @@ def lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrA
     sweep grids keep omega >= 0.125.
     """
 
-    def ramped(w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        if s == r:
-            raise DomainError(
-                "mean coefficient diverges for s = r under a ramped schedule with "
-                "omega > 0 (the integrated guidance level grows without bound)"
-            )
+    def ramped(s: np.ndarray, r: np.ndarray, t: np.ndarray, w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        _check_each(s != r, lambda _: (
+            "mean coefficient diverges for s = r under a ramped schedule with "
+            "omega > 0 (the integrated guidance level grows without bound)"), s)
         f_t = (s + t) / (r + t)
         p = omega * (r - s)
         a1 = omega * s - w0 - 1.0
         c1 = 1.0 + w0 - omega * s
-        terms = incomplete_beta_definite(
-            np.concatenate([a1, a1 + 1.0]), np.concatenate([p + 1.0, p]), f_t, 1.0)
+        terms = incomplete_beta_definite(np.concatenate([a1, a1 + 1.0]), np.concatenate([p + 1.0, p]),
+                                         np.concatenate([f_t, f_t]), 1.0)
         term1, term2 = terms[:w0.size], terms[w0.size:]
         pref = (s + t) ** c1 * (r + t) ** (omega * r - w0) * (r - s) ** (-p - 1.0)
         return pref * (c1 * term1 + p * term2)
 
-    return _per_ramp(s, r, sched, t, lambda w0: propagate(s, r, w0, t)[0], ramped)
+    return _per_ramp(s, r, sched, t, lambda s, r, t, w0: propagate(s, r, w0, t)[0], ramped)
 
 
-def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrArray:
-    """Variance factor under w(t) = w0 + omega*t, horizon -> inf; w0 and
-    omega may be arrays, as in ``lambda_coeff_linear``.
+def Lambda_coeff_linear(s: FloatOrArray, r: FloatOrArray, sched: Linear, t: FloatOrArray) -> FloatOrArray:
+    """Variance factor under w(t) = w0 + omega*t, horizon -> inf; the
+    arguments may be arrays, as in ``lambda_coeff_linear``.
 
     The per-direction guided variance is Lambda_i(t) * (s_i + t).
     """
 
-    def ramped(w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        if s == r:
-            return np.ones(w0.size)
+    def ramped(s: np.ndarray, r: np.ndarray, t: np.ndarray, w0: np.ndarray, omega: np.ndarray) -> np.ndarray:
         f_t = (s + t) / (r + t)
         p = omega * (r - s)
         a = 2.0 * (omega * s - w0) - 1.0
@@ -222,15 +209,18 @@ def Lambda_coeff_linear(s: float, r: float, sched: Linear, t: float) -> FloatOrA
             * (r + t) ** (2.0 * omega * r - 2.0 * w0)
             * (r - s) ** (-2.0 * p - 1.0)
         )
-        return pref * integral
+        return np.where(s == r, 1.0, pref * integral)
 
-    return _per_ramp(s, r, sched, t, lambda w0: propagate(s, r, w0, t)[1] / (s + t), ramped)
+    return _per_ramp(s, r, sched, t, lambda s, r, t, w0: propagate(s, r, w0, t)[1] / (s + t), ramped)
 
 
-def moments(s: float, r: float, sched: GuidanceSchedule, t: float) -> tuple[float, float]:
+def moments(s: FloatOrArray, r: FloatOrArray, sched: GuidanceSchedule,
+            t: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
     """(mean_coeff, variance) of the eigenvalue pair (s, r) at time t under
     sched, horizon -> inf: ``propagate`` for a constant schedule, lambda and
-    (s+t) Lambda from the incomplete Beta forms for a ramped one."""
+    (s+t) Lambda from the incomplete Beta forms for a ramped one.  The
+    arguments and the schedule's fields may be arrays that broadcast to a
+    batch of cells, evaluated in one call."""
     if isinstance(sched, Constant):
         return propagate(s, r, sched.w, t)
     return lambda_coeff_linear(s, r, sched, t), (s + t) * Lambda_coeff_linear(s, r, sched, t)
@@ -242,9 +232,9 @@ def guided_moments(
     """Guided mean vector and covariance eigenvalues (in the model basis) at t.
 
     mean = sum_i lambda_i(t) (v_i . mu) v_i ; covariance eigenvalue i equals
-    Lambda_i(t) * (s_i + t).
+    Lambda_i(t) * (s_i + t).  One ``moments`` call takes every eigendirection.
     """
-    mean_coeff, cov_eigenvalues = np.array([moments(si, ri, sched, t) for si, ri in zip(model.s, model.r)]).T
+    mean_coeff, cov_eigenvalues = moments(model.s, model.r, sched, t)
     mean = model.basis @ (mean_coeff * (model.basis.T @ model.mu))
     return mean, cov_eigenvalues
 

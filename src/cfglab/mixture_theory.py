@@ -155,14 +155,13 @@ def zeta(
 
     q1 = lim |x - c1|^2 / d and q2 = lim |x|^2 / d locate x;
     zeta = lam*q1/(2g) - log(1 + lam/g)/2 - lam*q2/(2(g+lam)), g = sigma2 + t.
-    Elementwise over array arguments; DomainError if any element has
-    sigma2 + t <= 0 or sigma2 + t + lam <= 0.  A float t is checked without
-    numpy; the log1p stays numpy's for floats too (``math.log1p`` rounds
-    differently), so a float gets the bits of the same element of an array.
+    Elementwise over array arguments, and a float gets the bits of the same
+    element of an array; DomainError if any element has sigma2 + t <= 0 or
+    sigma2 + t + lam <= 0, or if t, sigma2 or lam is nan.
     """
     g = sigma2 + t
-    g_min = g.min() if isinstance(g, np.ndarray) else g  # floats skip numpy call overhead
-    if g_min + min(lam, 0.0) <= 0:  # g + lam <= g when lam <= 0: one test covers both
+    g_min = np.min(g)  # nan if any element is
+    if not (g_min + min(lam, 0.0) > 0):  # g + lam <= g when lam <= 0: one test covers both
         raise DomainError(f"need sigma2+t > 0 and sigma2+t+lam > 0, got min g={g_min}, lam={lam}")
     return (
         lam * q1 / (2.0 * g)
@@ -351,8 +350,9 @@ def delta_estimators_linear(
     not the relative one of ``assemble_trajectory``: the solvable linear-ramp
     benchmark pins the pair (delta_mu, delta_sigma2)(0) to
     (sigma2, (1-2*sigma2)/3), which fixes this normalisation for
-    ``sweep schedule``.  The schedule's w0 and omega may be arrays; the pair
-    is then a pair of arrays, evaluated in one batch.
+    ``sweep schedule``.  sigma2 and the schedule's w0 and omega may be
+    arrays that broadcast together; the pair is then a pair of arrays,
+    evaluated in one batch.
     """
     # Not ``moments``: the per-layer tracer wraps the ramp coefficients as this module names them.
     s, r, g = sigma2, sigma2 + 1.0, sigma2 + t

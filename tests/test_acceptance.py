@@ -14,7 +14,9 @@ from cfglab.acceptance import _columns, _simulate, run_criteria
 from cfglab.cli import main
 
 
-@pytest.mark.parametrize("number", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize(
+    "number", [1, 2, *(pytest.param(n, marks=pytest.mark.slow) for n in (3, 4)), 5, 6, 7,
+               pytest.param(8, marks=pytest.mark.slow), 9])
 def test_criterion(number):
     result = run_criteria(numbers=[number])[0]
     status = "PASS" if result.passed else "FAIL"
@@ -22,6 +24,7 @@ def test_criterion(number):
         f"[{status}] criterion {result.number}: {result.name} "
         f"({result.runtime_s:.1f}s, budget {result.budget_s:.0f}s) {result.detail}"
     )
+    assert type(result.passed) is bool  # so that results serialise as JSON
     assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
 
 

@@ -446,7 +446,7 @@ class TestExitCodes:
         ids=["theory_mixture", "theory_joint", "sigma_w_sweep"],
     )
     def test_variance_ratio_below_float_resolution_is_zero(self, tmp_path, argv):
-        # (s - r)/(r + t) rounds to -1 at t = 0, where math.log1p raises
+        # (s - r)/(r + t) rounds to -1 at t = 0, where log1p's limit -inf gives the value
         assert main(["--out-dir", str(tmp_path), *argv, "--out", "x.csv"]) == 0
         assert "failed" not in _read(tmp_path / "x.csv")
 

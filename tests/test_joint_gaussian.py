@@ -70,8 +70,8 @@ class TestConstantCoefficients:
             assert big == pytest.approx(1.0, abs=10 * eps + 1e-14)
 
     def test_pair_below_float_resolution_is_the_array_limit(self):
-        # (s - r)/(r + t) rounds to -1, where math.log1p raises and numpy's
-        # log1p gives -inf: the float call returns the array call's limit.
+        # (s - r)/(r + t) rounds to -1, where log1p gives -inf: the float
+        # call returns that limit with the bits of the array call.
         for s, r, w in ((1e-17, 1.0, 1.0), (1e-17, 1.0 + 1e-17, 0.5), (1e-300, 1e10, 2.0)):
             for formula in (lambda_formula, Lambda_formula):
                 with np.errstate(divide="ignore"):
@@ -189,7 +189,7 @@ class TestPropagate:
     @pytest.mark.parametrize("seeded", [False, True])
     def test_batch_cells_equal_their_batches_of_one(self, seeded):
         # s, r, w and the seed vary by cell, one cell at s = r; a cell gets
-        # the same bits alone, and its float call's value to rounding
+        # the same bits alone and in its float call
         s = np.array([0.5, 1.0, 0.05, 2.0])
         r = np.array([1.5, 1.0, 1.05, 3.0])
         w = np.array([1.0, 2.5, -0.4, 0.0])
@@ -203,8 +203,7 @@ class TestPropagate:
             floats = propagate(*(float(x[0]) for x in cell), t,
                                None if start is None else tuple(float(x[i]) for x in start))
             for got, alone, scalar in zip(batch, one, floats):
-                assert got[i] == alone[0]
-                assert got[i] == pytest.approx(scalar, rel=1e-14, abs=0.0)
+                assert got[i] == alone[0] == scalar
 
 
 class TestMoments:
@@ -290,6 +289,23 @@ class TestLinearScheduleCoefficients:
         with pytest.raises(DomainError):
             lambda_coeff_linear(1.0, 1.0, Linear(0.2, 0.5), 0.0)
 
+    def test_batch_cells_equal_their_float_calls(self):
+        # s, r, t, w0 and omega vary by cell, one flat ramp and one flat ramp
+        # at s = r among them; each coefficient has its float call's bits
+        s = np.array([0.6, 0.25, 1.0, 0.9, 0.5])
+        r = np.array([1.0, 1.25, 1.0, 1.0, 1.5])
+        t = np.array([0.0, 0.3, 2.0, 1.2, 7.0])
+        w0 = np.array([-0.75, 0.5, 0.4, -0.3, -1.0])
+        omega = np.array([1.0, 2.0, 0.0, 3.0, 0.7])
+        batch = (lambda_coeff_linear(s, r, Linear(w0, omega), t),
+                 Lambda_coeff_linear(s, r, Linear(w0, omega), t), *moments(s, r, Linear(w0, omega), t))
+        for i in range(s.size):
+            sched = Linear(float(w0[i]), float(omega[i]))
+            cell = (float(s[i]), float(r[i]), sched, float(t[i]))
+            floats = (lambda_coeff_linear(*cell), Lambda_coeff_linear(*cell), *moments(*cell))
+            assert [x[i] for x in batch] == list(floats)
+            assert all(isinstance(x, float) for x in floats)
+
     def test_flat_ramp_needs_a_constant_level_above_minus_half(self):
         # omega = 0 is the constant level w0: rejected in any cell of a batch
         with pytest.raises(DomainError, match="omega = 0 requires w0 > -1/2, got w0 = -0.7"):
@@ -305,6 +321,15 @@ class TestGuidedMoments:
             mean, eigs = guided_moments(model, Constant(0.0), t)
             np.testing.assert_allclose(mean, model.mu, atol=1e-12)
             np.testing.assert_allclose(eigs, model.s + t, rtol=1e-13)
+
+    @pytest.mark.parametrize("sched", [Constant(1.3), Linear(-0.5, 1.0)], ids=["constant", "linear"])
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_is_the_per_eigendirection_loop(self, sched, t):
+        model = random_model(9, seed=4)
+        mean_coeff, eigs = np.array([moments(s, r, sched, t) for s, r in zip(model.s, model.r)]).T
+        mean, cov_eigenvalues = guided_moments(model, sched, t)
+        np.testing.assert_array_equal(mean, model.basis @ (mean_coeff * (model.basis.T @ model.mu)))
+        np.testing.assert_array_equal(cov_eigenvalues, eigs)
 
     def test_degenerate_model_doubles_mean(self):
         # s_i = r_i for all i, w = 1, t = 0: mean doubled, covariance intact
@@ -358,13 +383,16 @@ class TestGuidedMoments:
             random_model(3, seed=-1)
 
     def test_s_within_the_slack_above_r_is_the_s_equals_r_limit(self):
-        # The constructor accepts s_i <= r_i + 1e-15 and propagate needs s <= r:
-        # s = 1 + 2.2e-16 must give the s = r limit (1 + w, s + t), not raise.
+        # The constructor accepts s_i <= r_i (1 + 1e-15) and propagate needs
+        # s <= r: s = 1 + 2.2e-16 must give the s = r limit (1 + w, s + t),
+        # not raise.  The slack is relative: s = 1e-16 is far above r = 1e-20.
         for mu in ([0.0, 0.0], [1.0, 1.0]):
             model = JointGaussianModel(np.eye(2), [1.0, 1.0], [1.0 + 2.2e-16, 0.5], mu)
             assert model.s[0] == 1.0
             mean, eigs = guided_moments(model, Constant(1.0), 0.0)
             assert mean[0] == 2.0 * mu[0] and eigs[0] == 1.0
+        with pytest.raises(DomainError, match="need 0 < s_i <= r_i"):
+            JointGaussianModel(np.eye(2), [1e-20, 1.0], [1e-16, 0.5], [0.0, 0.0])
 
     def test_random_model_deterministic(self):
         a, b = random_model(7, seed=42), random_model(7, seed=42)

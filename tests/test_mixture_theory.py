@@ -38,9 +38,15 @@ class TestZeta:
         # q1 = q2 = 0, lam = 1, sigma2 + t = 1: -log(2)/2
         assert zeta(0.5, 1.0, 0.5, 0.0, 0.0) == pytest.approx(-0.5 * math.log(2.0))
 
-    def test_log_argument_guard(self):
+    @pytest.mark.parametrize(
+        "t,lam,sigma2",
+        [(0.0, -1.0, 0.5), (math.nan, 1.0, 0.5), (0.1, math.nan, 0.5), (0.1, 1.0, math.nan)],
+        ids=["log_argument", "t_nan", "lam_nan", "sigma2_nan"],
+    )
+    def test_domain_guard(self, t, lam, sigma2):
+        # sigma2 + t + lam <= 0, or a nan that every comparison lets through
         with pytest.raises(DomainError):
-            zeta(0.0, -1.0, 0.5, 1.0, 1.0)  # sigma2 + t + lam <= 0
+            zeta(t, lam, sigma2, 0.1, 0.1)
 
     def test_matches_coordinatewise_gaussian_quadrature(self):
         # For a concrete x the defining expectation factorises over

@@ -364,6 +364,7 @@ class TestIntegrateBackward:
         var = float(inc.var(axis=0, ddof=1).mean())
         assert var == pytest.approx(1.0, abs=3.0 * math.sqrt(2.0 / (4000 * 8)))
 
+    @pytest.mark.slow
     def test_unguided_single_mode_sampler(self):
         # w = 0, M = 1, d = 100: exact conditional sampler at t = 0
         d, n = 100, 4000
@@ -538,6 +539,7 @@ class TestIntegrateBackward:
         assert abs(est[0].delta_mu_hat - est[1].delta_mu_hat) < est[1].delta_mu_se
         assert abs(est[0].delta_sigma2_hat - est[1].delta_sigma2_hat) < est[1].delta_sigma2_se
 
+    @pytest.mark.slow
     def test_guided_run_matches_theory_at_moderate_dimension(self):
         # d = 24, exponential mode count: theory within loose finite-d slack
         d = 24
